@@ -98,7 +98,9 @@ let any_identifier = {|[A-Za-z_$][A-Za-z0-9_$]*|}
    domains at once, and a shared Hashtbl would race (corrupting buckets
    is undefined behaviour under OCaml 5).  Each domain memoizes its own
    compilations — slightly more compile work, zero synchronization on
-   the matcher's hottest string path. *)
+   the matcher's hottest string path.  Pool helpers live as long as the
+   process, so a helper's memo is as long-lived as the main domain's;
+   [memo_cap] bounds each domain's memo. *)
 let memo_key : (string, Re.re) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 

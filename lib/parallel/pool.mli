@@ -8,10 +8,16 @@
     [i] always lands in slot [i], so the output is byte-identical to the
     sequential run whatever the scheduling.
 
+    The helper domains are {e persistent}: spawned the first time a call
+    needs them, parked between calls, never joined.  Their
+    [Domain.DLS] state — the plan memo in [Jfeed_core.Plan], the regex
+    memo in [Jfeed_exprmatch.Template], [Jfeed_trace.Trace.scratch] —
+    therefore survives from call to call.
+
     The mapped function must not touch shared mutable state; everything
     in the grading pipeline satisfies this (per-submission budgets,
-    domain-local regex memo in [Jfeed_exprmatch.Template], per-call
-    embedding caches in [Jfeed_core.Grader]). *)
+    domain-local memos, per-call embedding caches in
+    [Jfeed_core.Grader]). *)
 
 val chunks : n:int -> jobs:int -> (int * int) list
 (** [chunks ~n ~jobs] — the (start, length) work units used to
@@ -21,22 +27,27 @@ val chunks : n:int -> jobs:int -> (int * int) list
     function of [(n, jobs)]: the decomposition never depends on timing.
     Empty iff [n = 0]. *)
 
-val map :
-  ?trace:Jfeed_trace.Trace.t ->
-  jobs:int ->
-  f:('a -> 'b) ->
-  'a array ->
-  'b array
-(** [map ~jobs ~f a] = [Array.map f a], computed on [min jobs (length a)]
-    domains ([jobs <= 1] runs in the calling domain, no spawns).  Slots
-    are filled by index, so the result — and any output derived from it
-    — is identical at every [jobs] value.  If [f] raises, the first
-    exception in {e index} order (not completion order) is re-raised
-    after all workers have been joined.
+val map : jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
+(** [map ~jobs ~f a] = [Array.map f a], computed by the calling domain
+    working alongside up to [min jobs (length a) - 1] pool helpers
+    ([jobs <= 1] runs in the calling domain alone).  Slots are filled by
+    index, so the result — and any output derived from it — is
+    identical at every [jobs] value.  If [f] raises, the first exception
+    in {e index} order (not completion order) is re-raised once every
+    helper that joined the call has left it; the helpers stay usable.
 
-    [?trace] (default disabled) records one [pool] span — with [jobs]
-    and [items] attributes — in the {e calling} domain's tracer.  Worker
-    domains keep their own ambient tracers
-    ({!Jfeed_trace.Trace.with_current} inside [f]); the pool itself
-    never writes to a worker's buffer, so the merge stays race-free and
-    deterministic. *)
+    - The caller never waits for a helper that has not woken up: it
+      drains the cursor itself, closes the call, and waits only for the
+      helpers that joined.  A helper runs each call at most once.
+    - A [map] issued while another is running — nested inside [f], or
+      from a second domain — does not wait for the busy pool: it runs
+      in the calling domain as [Array.map].
+    - The runtime caps live domains (128 in OCaml 5.1).  When a spawn is
+      refused, the pool stops growing and the call finishes on the
+      helpers it has, so any [jobs >= 1] is accepted.
+    - Parked helpers do not keep the process alive at exit, but each
+      one's backup thread takes part in every stop-the-world minor
+      collection of the process, which costs roughly 0.1–0.2 ms per
+      minor GC per parked helper.  And once a helper exists, the
+      runtime refuses [Unix.fork] for the rest of the process
+      ([Unix.create_process] still works). *)

@@ -342,9 +342,10 @@ let grade_miss cfg (m : miss) =
   let t0 = now_ms () in
   (* Every miss runs traced so the slowlog can show where a slow
      request spent its time.  The tracer is this worker domain's
-     reusable scratch buffer (Pool.map contract: one writer per
-     buffer); anything worth keeping is serialized below, before the
-     domain's next miss recycles it. *)
+     reusable scratch buffer, allocated once per domain for the
+     daemon's lifetime (pool helpers persist) and written by that
+     domain alone; anything worth keeping is serialized below, before
+     the domain's next miss recycles it. *)
   let trace = Trace.scratch () in
   let item =
     Pipeline.grade_submission ?fuel:r.g_fuel ?deadline_s:r.g_deadline

@@ -37,13 +37,75 @@ let prop_map_equals_array_map =
       let f x = (x * 37) + (x mod 5) in
       Pool.map ~jobs:(jobs + 1) ~f a = Array.map f a)
 
+(* A two-party rendezvous with a timeout: the first caller waits until
+   a second one arrives, so two items that both call it run on two
+   domains at once.  [false] iff the partner never came. *)
+let rendezvous arrived =
+  Atomic.incr arrived;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait () =
+    Atomic.get arrived >= 2
+    || Unix.gettimeofday () < deadline
+       && begin
+            Unix.sleepf 1e-4;
+            wait ()
+          end
+  in
+  wait ()
+
+(* [Pool.map ~jobs:2] over two items that run [g] and then meet. *)
+let met_on_two_domains g =
+  let arrived = Atomic.make 0 in
+  let f () =
+    g ();
+    rendezvous arrived
+  in
+  Pool.map ~jobs:2 ~f [| (); () |] = [| true; true |]
+
 let test_map_exception_first_index () =
   (* The first failing *index* is re-raised, not the first to finish. *)
   let a = Array.init 40 Fun.id in
   let f x = if x mod 7 = 3 then failwith (string_of_int x) else x in
-  match Pool.map ~jobs:4 ~f a with
+  (match Pool.map ~jobs:4 ~f a with
   | _ -> Alcotest.fail "expected an exception"
-  | exception Failure msg -> Alcotest.(check string) "index order" "3" msg
+  | exception Failure msg -> Alcotest.(check string) "index order" "3" msg);
+  check "the helpers survive it" true (met_on_two_domains ignore)
+
+let test_map_helpers_persist () =
+  (* A spawn-per-call pool would initialise this key on a fresh domain
+     in every call, about 50 times.  Persistent helpers initialise it
+     once each: the caller plus at most the helpers this process has
+     grown (the widest call in this suite asks for 4 domains). *)
+  let inits = Atomic.make 0 in
+  let key = Domain.DLS.new_key (fun () -> Atomic.incr inits) in
+  for _ = 1 to 50 do
+    check "both items ran at once" true
+      (met_on_two_domains (fun () -> Domain.DLS.get key))
+  done;
+  check "one initialisation per domain" true (Atomic.get inits <= 8)
+
+let test_map_reentrant () =
+  let a = Array.init 20 Fun.id in
+  let g x =
+    Array.fold_left ( + ) 0
+      (Pool.map ~jobs:2 ~f:(fun y -> y * 3) (Array.init (x mod 5) (( + ) x)))
+  in
+  check "nested map = Array.map" true (Pool.map ~jobs:2 ~f:g a = Array.map g a);
+  (* Item 0 of each call waits for item 0 of the other: a call that
+     queued behind the busy pool would leave its partner to time out. *)
+  let arrived = Atomic.make 0 in
+  let met = Atomic.make 0 in
+  let f x =
+    if x = 0 && rendezvous arrived then Atomic.incr met;
+    x * x
+  in
+  let a = Array.init 8 Fun.id in
+  let other = Domain.spawn (fun () -> Pool.map ~jobs:2 ~f a) in
+  let mine = Pool.map ~jobs:2 ~f a in
+  let theirs = Domain.join other in
+  let expect = Array.map (fun x -> x * x) a in
+  check "both calls = Array.map" true (mine = expect && theirs = expect);
+  Alcotest.(check int) "the two calls overlapped" 2 (Atomic.get met)
 
 (* ------------------------------------------------------------------ *)
 (* Budget.split: nothing lost to integer division *)
@@ -116,6 +178,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_map_equals_array_map;
     Alcotest.test_case "map: exception in index order" `Quick
       test_map_exception_first_index;
+    Alcotest.test_case "map: helpers keep their domain state" `Quick
+      test_map_helpers_persist;
+    Alcotest.test_case "map: nested and concurrent calls" `Quick
+      test_map_reentrant;
     QCheck_alcotest.to_alcotest prop_split_sum_preserving;
     Alcotest.test_case "split: zero ways rejected" `Quick
       test_split_rejects_zero_ways;
