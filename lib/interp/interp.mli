@@ -1,10 +1,21 @@
-(** Big-step interpreter for the Java subset.
+(** Closure-compiling interpreter for the Java subset.
 
     Replaces the JVM for functional testing: programs print to a captured
     stdout, read files from a virtual file system through
     [java.util.Scanner], and run under a step budget so that the
     infinite-loop submissions the paper worries about terminate with a
     distinguishable outcome instead of hanging the harness.
+
+    Each {!run} compiles every method of the program once into OCaml
+    closures, with every local variable resolved to a slot of a per-call
+    array frame, then calls the entry method.  Compilation is total:
+    errors about names (an undefined variable, an unknown method) are
+    runtime errors, raised when the code that names them runs.
+
+    Step accounting: one step per executed statement (ticked before it
+    runs), per loop iteration, and per call (ticked before its receiver
+    and arguments are evaluated).  Each step also spends one unit of
+    {!Jfeed_budget.Budget.Interp} fuel when a budget is given.
 
     Semantics notes:
     - [int] arithmetic wraps at 32 bits like the JVM ({!Value.wrap32});
