@@ -54,41 +54,6 @@ let expected_outputs suite (reference : Ast.program) =
             (Printf.sprintf "reference solution failed on %s: %s" c.label e))
     suite.cases
 
-let run ?budget suite ~expected (prog : Ast.program) =
-  let rec go cases expects =
-    match (cases, expects) with
-    | [], [] -> Pass
-    | c :: cs, want :: ws -> (
-        let out = run_case ?budget suite prog c in
-        match out.Interp.error with
-        | Some e -> Fail { case = c.label; reason = "error: " ^ e }
-        | None ->
-            if out.Interp.stdout = want then go cs ws
-            else
-              Fail
-                {
-                  case = c.label;
-                  reason =
-                    Printf.sprintf "expected %S, got %S" want out.Interp.stdout;
-                })
-    | _ ->
-        (* A malformed test spec (wrong number of expected outputs) is a
-           suite bug, but it must not crash a grading batch — report it
-           as a failing verdict instead of raising. *)
-        Fail
-          {
-            case = "<suite>";
-            reason =
-              Printf.sprintf
-                "expected-output count mismatch: %d cases, %d expected outputs"
-                (List.length suite.cases)
-                (List.length expected);
-          }
-  in
-  go suite.cases expected
-
-let passes ?budget suite ~expected prog = run ?budget suite ~expected prog = Pass
-
 type report = {
   rep_total : int;
   rep_ran : int;
@@ -120,8 +85,10 @@ let report ?budget ?(early_exit = false) suite ~expected prog =
               failed
                 (Printf.sprintf "expected %S, got %S" want out.Interp.stdout))
     | _ ->
-        (* Same totality rule as [run]: a malformed suite is a failing
-           entry on the pseudo-case ["<suite>"], never an exception. *)
+        (* A malformed test spec (wrong number of expected outputs) is a
+           suite bug, but it must not crash a grading batch: it is a
+           failing entry on the pseudo-case ["<suite>"], never an
+           exception. *)
         finish ran passed
           (( "<suite>",
              Printf.sprintf
@@ -132,5 +99,9 @@ let report ?budget ?(early_exit = false) suite ~expected prog =
   in
   go suite.cases expected 0 0 []
 
-let screen ?budget suite ~expected prog =
-  (report ?budget ~early_exit:true suite ~expected prog).rep_failures = []
+let run ?budget suite ~expected prog =
+  match (report ?budget ~early_exit:true suite ~expected prog).rep_failures with
+  | [] -> Pass
+  | (case, reason) :: _ -> Fail { case; reason }
+
+let passes ?budget suite ~expected prog = run ?budget suite ~expected prog = Pass

@@ -32,24 +32,6 @@ val expected_outputs : suite -> Jfeed_java.Ast.program -> string list
     [Invalid_argument] if the reference itself fails — a harness bug, not
     a grading outcome. *)
 
-val run :
-  ?budget:Jfeed_budget.Budget.t ->
-  suite ->
-  expected:string list ->
-  Jfeed_java.Ast.program ->
-  verdict
-(** Stops at the first failing case.  Total: a malformed suite (the
-    [expected] list does not line up with the cases) yields a [Fail]
-    verdict on the pseudo-case ["<suite>"] instead of raising, so a bad
-    test spec cannot crash a grading batch. *)
-
-val passes :
-  ?budget:Jfeed_budget.Budget.t ->
-  suite ->
-  expected:string list ->
-  Jfeed_java.Ast.program ->
-  bool
-
 type report = {
   rep_total : int;  (** cases in the suite *)
   rep_ran : int;  (** cases actually executed *)
@@ -71,17 +53,24 @@ val report :
     first failing case ([rep_ran < rep_total] then tells how far it
     got) — the cheap screening mode of the repair search, where one
     failure already disqualifies a candidate.  On a program that passes
-    every case the two modes return identical reports.  Total like
-    {!run}: a malformed suite yields a ["<suite>"] failure entry, never
-    an exception. *)
+    every case the two modes return identical reports.  Total: a
+    malformed suite yields a ["<suite>"] failure entry, never an
+    exception, so a bad test spec cannot crash a grading batch. *)
 
-val screen :
+val run :
+  ?budget:Jfeed_budget.Budget.t ->
+  suite ->
+  expected:string list ->
+  Jfeed_java.Ast.program ->
+  verdict
+(** The first failure of an early-exit {!report}, or [Pass]: stops at the
+    first failing case, and a malformed suite yields a [Fail] verdict on
+    the pseudo-case ["<suite>"] instead of raising. *)
+
+val passes :
   ?budget:Jfeed_budget.Budget.t ->
   suite ->
   expected:string list ->
   Jfeed_java.Ast.program ->
   bool
-(** [rep_failures = []] of an early-exit {!report}: does the program
-    pass the whole suite, stopping at the first failure?  Equivalent to
-    {!passes} but named for its role as the repair search's candidate
-    screen. *)
+(** [run] gives [Pass]: the repair search's candidate screen. *)

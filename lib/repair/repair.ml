@@ -155,7 +155,7 @@ let search ?(fuel = default_fuel) ?deadline_s ?(jobs = 1) (b : Jfeed_kb.Bundles.
       | Error e ->
           finish (empty_outcome (Unrepairable ("reference suite failed: " ^ e)))
       | Ok expected ->
-          if Runner.screen b.suite ~expected prog then
+          if Runner.passes b.suite ~expected prog then
             finish (empty_outcome Already_passing)
           else begin
             let sites = Edit.enumerate ~srcmap prog in
@@ -175,7 +175,7 @@ let search ?(fuel = default_fuel) ?deadline_s ?(jobs = 1) (b : Jfeed_kb.Bundles.
               let cand = Edit.apply prog site in
               let pass =
                 match
-                  protect (fun () -> Runner.screen ~budget b.suite ~expected cand)
+                  protect (fun () -> Runner.passes ~budget b.suite ~expected cand)
                 with
                 | Ok p -> p
                 | Error _ -> false

@@ -155,7 +155,7 @@ let test_report_early_exit_stops () =
     (List.length early.Runner.rep_failures);
   Alcotest.(check int) "early exit ran exactly one case" 1
     early.Runner.rep_ran;
-  check "screen agrees" false (Runner.screen b.suite ~expected broken)
+  check "passes agrees" false (Runner.passes b.suite ~expected broken)
 
 let test_report_malformed_suite_total () =
   let b = Bundles.assignment1 in
@@ -199,7 +199,7 @@ let test_repair_rate_over_mutants () =
               let h = Option.get o.Repair.hint in
               let _, expected = suite_setup b in
               check "hint source passes the suite" true
-                (Runner.screen b.suite ~expected
+                (Runner.passes b.suite ~expected
                    (Parser.parse_program h.Repair.h_source))
           | Repair.No_repair -> incr failing)
         (failing_mutants b ~seeds))
