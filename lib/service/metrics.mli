@@ -1,9 +1,15 @@
-(** Live serving statistics: counters and grade-latency percentiles.
+(** Live serving statistics: counters, grade-latency percentiles, and
+    the one table both control-plane answers are rendered from.
 
     One instance per server; every counter is monotone over the server's
     lifetime.  Latencies go into a fixed-size ring (the last
     {!reservoir_cap} grades), so a long-lived daemon's percentiles track
-    {e recent} behaviour and memory stays bounded. *)
+    {e recent} behaviour and memory stays bounded.
+
+    Every metric is one {!row} of {!table}: its exposition family, HELP
+    text and type, its [stats] path, and its samples.  {!stats} and
+    {!exposition} both walk that table in order, so a new metric is one
+    row and appears in both answers at once, wherever the row sits. *)
 
 type t
 
@@ -70,14 +76,8 @@ val record_trace_retained : t -> unit
 
 (** {2 Reading} *)
 
-val hits : t -> int
-val misses : t -> int
-val queue_max : t -> int
-val shed : t -> int
-val degraded_admission : t -> int
 val slo_good : t -> int
 val slo_bad : t -> int
-val traces_retained : t -> int
 
 val burn_rate : t -> target:float -> window_s:float -> float
 (** Error-budget burn rate over the trailing window: the bad fraction
@@ -93,67 +93,71 @@ val percentile : t -> float -> float
 val slowlog : t -> Proto.slow_entry list
 (** Slowest grades first, at most {!slowlog_cap}. *)
 
-val to_stats :
-  ?ext:Proto.stats_ext ->
-  ?slo_target:float ->
-  t ->
-  cache_size:int ->
-  cache_cap:int ->
-  queue_depth:int ->
-  queue_cap:int ->
-  Proto.stats
-(** Snapshot for a [stats] response.  [ext] carries the concurrent
-    daemon's serving-tier figures; omitted, the rendered stats line is
-    byte-identical to the historical shape (the stdio path's pinned
-    golden).  [slo_target] turns on the trailing ["slo"] object with
-    good/bad counts and burn rates at 1m/5m/1h windows. *)
+(** {2 The metrics table} *)
 
-(** Serving-tier figures for the extended exposition, supplied by the
-    socket daemon (the [t] counters don't know about shards,
-    connections or the durable store). *)
-type extended = {
-  x_shard_counters : (int * int) array;
-      (** per-shard (hits, misses), {!Shards.counters} *)
-  x_conns : int;  (** open client connections *)
-  x_store : (int * int * int * int) option;
-      (** (recovered, dropped_bytes, appended, compactions); [None]
-          when serving memory-only *)
+type kind = Counter | Gauge | Histogram
+
+type value = Int of int | Float of float
+(** Integers render as [%d] in both answers; floats as [%.3g] in
+    [stats] and [%.6g] in the exposition. *)
+
+type sample = {
+  suffix : string;  (** appended to the family name: [_bucket], [_sum]… *)
+  labels : (string * string) list;  (** rendered [k="v"] *)
+  value : value;
 }
 
-val to_prometheus :
-  ?extended:extended ->
-  ?slo:float * float ->
-  ?events:int * int * int ->
-  t ->
-  cache_size:int ->
-  cache_cap:int ->
-  queue_depth:int ->
-  queue_cap:int ->
-  string
-(** The same snapshot as Prometheus text exposition: counters
-    ([jfeed_requests_total], [jfeed_grades_total], [jfeed_errors_total],
-    [jfeed_outcomes_total{class=…}], cache hit/miss totals,
-    [jfeed_diagnostics_total{pass=…}] over the five fixed pass ids),
-    gauges (cache occupancy, queue depth and high-water mark), and a
-    [jfeed_grade_latency_ms] histogram over {!latency_buckets} with
-    cumulative bucket counts, [_sum] and [_count].  The line set, order
-    and every [le] bound are fixed — only sample values vary — and the
-    block ends with [# EOF] (no trailing newline).
-    [jfeed_grades_total] always equals the [stats] response's [grades]
-    field: both read the same counter.
+type row = {
+  family : string option;  (** exposition name; [None]: [stats] only *)
+  help : string;
+  kind : kind;
+  path : string list option;
+      (** [stats] path; [None]: exposition only.  A labelled sample
+          extends the path by its label values, so a labelled row is a
+          [stats] object keyed by them. *)
+  samples : sample list;
+}
 
-    With [extended], the serving-tier families ([jfeed_shed_total],
-    [jfeed_admission_degraded_total], [jfeed_connections_active],
-    per-shard cache hit/miss counters, and — when a durable store is
-    attached — its recovery/append/compaction figures) are
-    {e prepended} before [jfeed_requests_total], so the historical
-    block from that anchor to [# EOF] keeps its exact line set.
+(** The socket daemon's serving tier: figures the [t] counters don't
+    know about. *)
+type serving = {
+  shard_counters : (int * int) array;
+      (** per-shard (hits, misses), {!Shards.counters} *)
+  conns : int;  (** open client connections *)
+  store : (int * int * int * int) option;
+      (** (recovered, dropped_bytes, appended, compactions) of the
+          durable store; [None] when serving memory-only *)
+}
 
-    The telemetry families live in the same prepend zone:
-    [jfeed_build_info{version,kb_digest}] (value 1, the same data as
-    [jfeed version]) and [jfeed_traces_retained_total] always;
-    [jfeed_slo_latency_ms] / [jfeed_slo_target] /
-    [jfeed_slo_good_total] / [jfeed_slo_bad_total] /
-    [jfeed_slo_burn_rate{window="1m"|"5m"|"1h"}] when [slo] =
-    [(slo_ms, target)] is set; event-log emitted/dropped/rotation
-    counters when [events] = [(emitted, dropped, rotations)] is set. *)
+(** What one [stats] or [metrics] request sees beyond the counters.
+    Each option adds its rows to the table only when present. *)
+type view = {
+  cache_size : int;
+  cache_cap : int;
+  queue_depth : int;  (** grade requests queued when the request ran *)
+  queue_cap : int;
+  serving : serving option;  (** socket daemon only *)
+  slo : (float * float) option;  (** (objective ms, target), [--slo-ms] *)
+  events : (int * int * int) option;
+      (** event log (emitted, dropped, rotations), [--event-log] *)
+}
+
+val table : t -> view -> row list
+(** Every metric, in [stats] order: requests, grades, stats, errors,
+    cache, outcomes, diagnostics, queue; the serving tier (admission,
+    shards, conns, store); latency_ms, absint, slo.  Exposition-only
+    rows — the latency histogram over {!latency_buckets}, build info,
+    retained traces, the SLO objective, event-log, per-shard, plan,
+    dedup and repair counters — sit among them.  No two rows share a
+    family or a path. *)
+
+val stats : t -> view -> string
+(** The [stats] response's fields, comma-separated: every sample of
+    every row with a path, in table order, consecutive paths that share
+    a first key nested under it.  Wrapped by {!Proto.stats_response}. *)
+
+val exposition : t -> view -> string
+(** The Prometheus text exposition: every row with a family, in table
+    order, as [# HELP], [# TYPE] and its samples, then [# EOF] (no
+    trailing newline).  [jfeed_grades_total] always equals the [stats]
+    answer's [grades]: both are the same row. *)

@@ -545,64 +545,37 @@ let process_batch st oc (batch : grade_req list) =
     (grade_batch st batch);
   flush oc
 
-(* The socket daemon's serving-tier stats extension; the stdio path
-   passes no [ext] and keeps its historical byte shape. *)
-let stats_ext st ~conns =
+(* What a stats or metrics request sees beyond the counters; [conns]
+   is given by the socket daemon alone, which adds the serving tier. *)
+let view ?conns st ~queue_depth =
   {
-    Proto.shed = Metrics.shed st.metrics;
-    degraded_admission = Metrics.degraded_admission st.metrics;
-    shards = Shards.shard_count st.cache;
-    conns;
-    store =
+    Metrics.cache_size = Shards.size st.cache;
+    cache_cap = st.config.cache_cap;
+    queue_depth;
+    queue_cap = st.config.queue_cap;
+    serving =
       Option.map
-        (fun s ->
-          let r = Store.recovery s in
-          ( r.Store.recovered,
-            r.Store.dropped_bytes,
-            Store.appended s,
-            Store.compactions s ))
-        st.store;
+        (fun conns ->
+          {
+            Metrics.shard_counters = Shards.counters st.cache;
+            conns;
+            store =
+              Option.map
+                (fun s ->
+                  let r = Store.recovery s in
+                  ( r.Store.recovered,
+                    r.Store.dropped_bytes,
+                    Store.appended s,
+                    Store.compactions s ))
+                st.store;
+          })
+        conns;
+    slo = Option.map (fun ms -> (ms, st.config.slo_target)) st.config.slo_ms;
+    events =
+      Option.map
+        (fun e -> (Events.emitted e, Events.dropped e, Events.rotations e))
+        st.events;
   }
-
-let stats_line st ?id ?ext ~queue_depth () =
-  let slo_target =
-    match st.config.slo_ms with
-    | Some _ -> Some st.config.slo_target
-    | None -> None
-  in
-  Proto.stats_response ?id
-    (Metrics.to_stats ?ext ?slo_target st.metrics
-       ~cache_size:(Shards.size st.cache) ~cache_cap:st.config.cache_cap
-       ~queue_depth ~queue_cap:st.config.queue_cap)
-
-let prometheus_block ?conns st ~queue_depth =
-  let extended =
-    Option.map
-      (fun conns ->
-        {
-          Metrics.x_shard_counters = Shards.counters st.cache;
-          x_conns = conns;
-          x_store =
-            Option.map
-              (fun s ->
-                let r = Store.recovery s in
-                ( r.Store.recovered,
-                  r.Store.dropped_bytes,
-                  Store.appended s,
-                  Store.compactions s ))
-              st.store;
-        })
-      conns
-  in
-  let slo = Option.map (fun ms -> (ms, st.config.slo_target)) st.config.slo_ms in
-  let events =
-    Option.map
-      (fun e -> (Events.emitted e, Events.dropped e, Events.rotations e))
-      st.events
-  in
-  Metrics.to_prometheus ?extended ?slo ?events st.metrics
-    ~cache_size:(Shards.size st.cache) ~cache_cap:st.config.cache_cap
-    ~queue_depth ~queue_cap:st.config.queue_cap
 
 (* Request fields override the server defaults; an absent field means
    "whatever the daemon was started with".  The correlation id is the
@@ -686,7 +659,9 @@ let serve_connection st r oc =
                before this line is reached, so the truthful queue depth
                here is zero by construction — the live depths show up on
                the socket daemon, where stats overtakes queued work. *)
-            output_string oc (stats_line st ?id ~queue_depth:0 ());
+            output_string oc
+              (Proto.stats_response ?id
+                 (Metrics.stats st.metrics (view st ~queue_depth:0)));
             output_char oc '\n';
             flush oc;
             loop ()
@@ -695,7 +670,8 @@ let serve_connection st r oc =
                block, "# EOF"-terminated (see Proto).  Counted as a
                stats-class request. *)
             Metrics.record_stats_req st.metrics;
-            output_string oc (prometheus_block st ~queue_depth:0);
+            output_string oc
+              (Metrics.exposition st.metrics (view st ~queue_depth:0));
             output_char oc '\n';
             flush oc;
             loop ()
@@ -878,16 +854,16 @@ let serve_socket config path =
           Metrics.record_stats_req st.metrics;
           Queue.push
             (Done
-               (stats_line st ?id
-                  ~ext:(stats_ext st ~conns:(List.length !conns))
-                  ~queue_depth:depth ()))
+               (Proto.stats_response ?id
+                  (Metrics.stats st.metrics
+                     (view st ~conns:(List.length !conns) ~queue_depth:depth))))
             c.c_slots
       | Ok (Proto.Metrics { id = _ }) ->
           Metrics.record_stats_req st.metrics;
           Queue.push
             (Done
-               (prometheus_block st ~conns:(List.length !conns)
-                  ~queue_depth:depth))
+               (Metrics.exposition st.metrics
+                  (view st ~conns:(List.length !conns) ~queue_depth:depth)))
             c.c_slots
       | Ok (Proto.Slowlog { id }) ->
           Metrics.record_stats_req st.metrics;
