@@ -34,7 +34,7 @@ let render d =
     d.pass d.message
 
 let to_json d =
-  let esc = Jfeed_core.Feedback.json_escape in
+  let esc = Jfeed_trace.Trace.json_escape in
   Printf.sprintf
     {|{"pass":"%s","severity":"%s","method":"%s","line":%d,"col":%d,"message":"%s"}|}
     (esc d.pass)

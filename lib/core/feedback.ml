@@ -95,22 +95,6 @@ let render_all comments = String.concat "\n" (List.map render comments)
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output (LMS integration)                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf {|\"|}
-      | '\\' -> Buffer.add_string buf {|\\|}
-      | '\n' -> Buffer.add_string buf {|\n|}
-      | '\t' -> Buffer.add_string buf {|\t|}
-      | '\r' -> Buffer.add_string buf {|\r|}
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf {|\u%04x|} (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let comment_to_json c =
   let kind, id =
     match c.about with
@@ -119,10 +103,10 @@ let comment_to_json c =
   in
   Printf.sprintf
     {|{"kind":"%s","id":"%s","method":"%s","verdict":"%s","messages":[%s]}|}
-    kind (json_escape id) (json_escape c.in_method)
+    kind (Jfeed_trace.Trace.json_escape id)
+    (Jfeed_trace.Trace.json_escape c.in_method)
     (string_of_verdict c.verdict)
-    (String.concat ","
-       (List.map (fun m -> {|"|} ^ json_escape m ^ {|"|}) c.messages))
+    (String.concat "," (List.map Jfeed_trace.Trace.json_string c.messages))
 
 (** Render a full comment list as a JSON document with the score. *)
 let to_json comments =

@@ -36,9 +36,6 @@ val render : comment -> string
 
 val render_all : comment list -> string
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal. *)
-
 val comment_to_json : comment -> string
 
 val to_json : comment list -> string

@@ -368,6 +368,6 @@ let to_json t =
   Printf.sprintf {|{"method":"%s","params":[%s],"nodes":[%s],"edges":[%s]}|}
     (esc t.method_name)
     (String.concat ","
-       (List.map (fun p -> {|"|} ^ esc p ^ {|"|}) t.param_names))
+       (List.map Jfeed_trace.Trace.json_string t.param_names))
     (String.concat "," nodes)
     (String.concat "," edges)

@@ -294,19 +294,18 @@ let status_slug = function
   | No_repair -> "no-repair"
   | Unrepairable _ -> "unrepairable"
 
-let json_string s = {|"|} ^ Jfeed_core.Feedback.json_escape s ^ {|"|}
-
 let to_json o =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf {|{"status":%s|} (json_string (status_slug o.status)));
+    (Printf.sprintf {|{"status":%s|}
+       (Trace.json_string (status_slug o.status)));
   (match o.hint with
   | None -> ()
   | Some h ->
       Buffer.add_string b
         (Printf.sprintf {|,"kind":%s,"method":%s|}
-           (json_string (Edit.kind_slug h.h_kind))
-           (json_string h.h_meth));
+           (Trace.json_string (Edit.kind_slug h.h_kind))
+           (Trace.json_string h.h_meth));
       (match h.h_pos with
       | Some p ->
           Buffer.add_string b
@@ -314,11 +313,13 @@ let to_json o =
       | None -> ());
       Buffer.add_string b
         (Printf.sprintf {|,"before":%s,"after":%s,"distance":%d,"rank":%d|}
-           (json_string h.h_before) (json_string h.h_after) h.h_distance
-           h.h_rank));
+           (Trace.json_string h.h_before)
+           (Trace.json_string h.h_after)
+           h.h_distance h.h_rank));
   (match o.status with
   | Unrepairable e ->
-      Buffer.add_string b (Printf.sprintf {|,"error":%s|} (json_string e))
+      Buffer.add_string b
+        (Printf.sprintf {|,"error":%s|} (Trace.json_string e))
   | _ -> ());
   Buffer.add_string b
     (Printf.sprintf {|,"candidates":%d,"sites":%d,"passing":%d,"exhausted":%s,"fuel":%d}|}

@@ -2,6 +2,7 @@
     outcome.mli for the contract. *)
 
 open Jfeed_core
+module Trace = Jfeed_trace.Trace
 
 type reason =
   | Matcher_exhausted of string
@@ -69,19 +70,17 @@ let reasons = function
   | Graded _ | Rejected _ -> []
   | Degraded (_, rs) -> rs
 
-let json_string s = {|"|} ^ Feedback.json_escape s ^ {|"|}
-
 let tests_to_json = function
   | Tests_passed -> {|"passed"|}
   | Tests_failed (case, _) ->
-      Printf.sprintf {|{"failed":%s}|} (json_string case)
+      Printf.sprintf {|{"failed":%s}|} (Trace.json_string case)
   | Tests_not_run -> {|"not-run"|}
 
 let to_json ?file ?(comments = false) ?repair
-    ?(trace = Jfeed_trace.Trace.disabled) t =
+    ?(trace = Trace.disabled) t =
   let prefix =
     match file with
-    | Some f -> Printf.sprintf {|"file":%s,|} (json_string f)
+    | Some f -> Printf.sprintf {|"file":%s,|} (Trace.json_string f)
     | None -> ""
   in
   (* The repair hint and the per-stage trace summary ride along only
@@ -92,8 +91,8 @@ let to_json ?file ?(comments = false) ?repair
     match repair with Some r -> {|,"repair":|} ^ r | None -> ""
   in
   let trace_field =
-    if Jfeed_trace.Trace.enabled trace then
-      {|,"trace":|} ^ Jfeed_trace.Trace.summary_json trace
+    if Trace.enabled trace then
+      {|,"trace":|} ^ Trace.summary_json trace
     else ""
   in
   match t with
@@ -119,14 +118,18 @@ let to_json ?file ?(comments = false) ?repair
       Printf.sprintf
         {|{%s"outcome":%s,"score":%g,"max":%d,"tests":%s,"reasons":[%s]%s%s%s%s}|}
         prefix
-        (json_string (classify t))
+        (Trace.json_string (classify t))
         r.grading.Grader.score
         (List.length r.grading.Grader.comments)
         (tests_to_json r.tests)
         (String.concat ","
-           (List.map (fun x -> json_string (string_of_reason x)) (reasons t)))
+           (List.map
+              (fun x -> Trace.json_string (string_of_reason x))
+              (reasons t)))
         diag_fields comment_field repair_field trace_field
   | Rejected d ->
       Printf.sprintf {|{%s"outcome":"rejected","stage":%s,"error":%s%s%s}|}
         prefix
-        (json_string d.stage) (json_string d.message) repair_field trace_field
+        (Trace.json_string d.stage)
+        (Trace.json_string d.message)
+        repair_field trace_field

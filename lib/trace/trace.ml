@@ -170,11 +170,20 @@ let rollup t =
     (spans t);
   List.rev_map (fun stage -> (stage, Hashtbl.find tbl stage)) !order
 
+(* Nearest-rank: the smallest sample with at least p of the mass at or
+   below it. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else
+    let rank = int_of_float (ceil (p *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 
-(* Minimal JSON string escape (the library is zero-dependency by
-   design, so it cannot borrow Feedback.json_escape). *)
+(* The repository's one JSON string escaper: this library depends on
+   nothing, so every JSON writer can reach it. *)
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
@@ -190,6 +199,8 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
+
+let json_string s = "\"" ^ json_escape s ^ "\""
 
 let us_of_ns ns = Int64.to_float ns /. 1000.0
 

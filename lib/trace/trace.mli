@@ -109,13 +109,20 @@ val rollup : t -> (string * (int * int64)) list
     [':'] — so [match:p_loop] and [match:p_print] both aggregate into
     [match].  Open spans contribute a zero duration. *)
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank sorted p] with [p] in [[0, 1]]: the nearest-rank
+    percentile of an ascending array — the smallest sample with at
+    least [p] of the mass at or below it; [0.0] when empty. *)
+
 (** {2 Serialization} *)
 
 val json_escape : string -> string
 (** JSON string-content escaping (quotes, backslashes, control bytes).
-    The tracer cannot depend on [Jfeed_core.Feedback.json_escape] — it
-    sits {e below} core — so it carries its own, exported for the other
-    leaf libraries in the same position. *)
+    The repository's one escaper: this library sits below every JSON
+    writer. *)
+
+val json_string : string -> string
+(** {!json_escape} between double quotes: a whole JSON string literal. *)
 
 val to_chrome_json : ?pid:int -> ?tid:int -> t -> string
 (** The Chrome [trace_event] JSON array format (loadable in
