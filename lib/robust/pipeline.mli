@@ -22,9 +22,6 @@
 
 val grade_guarded :
   ?budget:Jfeed_budget.Budget.t ->
-  ?normalize:bool ->
-  ?use_variants:bool ->
-  ?inline_helpers:bool ->
   Jfeed_core.Grader.spec ->
   string ->
   Outcome.t
@@ -33,9 +30,6 @@ val grade_guarded :
 
 val assess :
   ?budget:Jfeed_budget.Budget.t ->
-  ?normalize:bool ->
-  ?use_variants:bool ->
-  ?inline_helpers:bool ->
   ?with_tests:bool ->
   Jfeed_kb.Bundles.t ->
   string ->
