@@ -93,10 +93,9 @@ let compact r =
   if r.len = Bytes.length r.buf then
     r.buf <- Bytes.extend r.buf 0 (Bytes.length r.buf)
 
-(* One [read(2)]; false when the descriptor hit end of input.  Blocking
-   descriptors only (the stdio path); [`Again] can't happen there, but
-   if it ever did the select-wait turns it into a retry, not a spin. *)
-let rec fill r =
+(* One [read(2)]; true when it brought bytes.  False means end of input
+   (which sets [eof]) or, on a non-blocking descriptor, nothing ready. *)
+let fill r =
   compact r;
   match Sysx.read r.fd r.buf (r.start + r.len) (Bytes.length r.buf - r.start - r.len) with
   | `Read 0 ->
@@ -105,21 +104,7 @@ let rec fill r =
   | `Read n ->
       r.len <- r.len + n;
       true
-  | `Again ->
-      ignore (Sysx.select [ r.fd ] [] [] (-1.0));
-      fill r
-
-(* The event loop's fill: one non-blocking read, never waits. *)
-let fill_nb r =
-  compact r;
-  match Sysx.read r.fd r.buf (r.start + r.len) (Bytes.length r.buf - r.start - r.len) with
-  | `Read 0 ->
-      r.eof <- true;
-      `Eof
-  | `Read n ->
-      r.len <- r.len + n;
-      `Data
-  | `Again -> `Again
+  | `Again -> false
 
 let readable_now fd =
   match Sysx.select [ fd ] [] [] 0.0 with
@@ -149,10 +134,16 @@ let take_buffered_line r =
       end
       else None
 
+(* Blocking descriptors only (the stdio path); [`Again] can't happen
+   there, but if it ever did the select-wait turns it into a retry, not
+   a spin. *)
 let rec read_line r =
   match take_buffered_line r with
   | Some line -> Some line
-  | None -> if r.eof then None else if fill r then read_line r else read_line r
+  | None when r.eof -> None
+  | None ->
+      if not (fill r || r.eof) then ignore (Sysx.select [ r.fd ] [] [] (-1.0));
+      read_line r
 
 let rec poll_line r =
   match take_buffered_line r with
@@ -398,8 +389,8 @@ let grade_miss cfg (m : miss) =
 
 (* Grade one batch against the cache + pool; one response line per
    request, in request order.  Shared by the stdio loop (which prints
-   the lines) and the socket event loop (which queues them onto each
-   connection's output buffer). *)
+   the lines) and the socket event loop (which fills each request's
+   answer cell). *)
 let grade_batch st (batch : grade_req list) : string list =
   Metrics.observe_queue_depth st.metrics (List.length batch);
   let misses = ref [] in
@@ -454,22 +445,28 @@ let grade_batch st (batch : grade_req list) : string list =
   let results =
     Pool.map ~jobs:st.config.jobs ~f:(grade_miss st.config) miss_arr
   in
-  let slo_on = st.config.slo_ms <> None in
-  (* SLO verdict + respond event for one answered grade request; total
-     service time runs from admission, so queue wait counts against
-     the objective exactly as the client experienced it. *)
-  let finish r ~cached ~outcome ~grade_ms =
+  (* The one way out for an answered grade, hit, miss or duplicate:
+     counters, its cache events, the SLO verdict, the respond event and
+     the response line.  Total service time runs from admission, so
+     queue wait counts against the objective exactly as the client
+     experienced it. *)
+  let reply r e ~cached ~ms events =
+    Metrics.record_grade st.metrics ~outcome:e.outcome_class ~hit:cached ~ms;
+    Metrics.record_diags st.metrics e.diag_counts;
+    List.iter (fun (ev, attrs) -> emit st ~rid:r.g_rid ev attrs) events;
     let total = now_ms () -. r.g_enq_ms in
-    if slo_on then
-      Metrics.record_slo st.metrics
-        ~ok:(match st.config.slo_ms with Some s -> total <= s | None -> true);
+    Option.iter
+      (fun slo -> Metrics.record_slo st.metrics ~ok:(total <= slo))
+      st.config.slo_ms;
     emit st ~rid:r.g_rid "respond"
       [
-        ("outcome", Events.S outcome);
+        ("outcome", Events.S e.outcome_class);
         ("cached", Events.I (if cached then 1 else 0));
-        ("queue_ms", Events.F (total -. grade_ms));
+        ("queue_ms", Events.F (total -. ms));
         ("total_ms", Events.F total);
-      ]
+      ];
+    Proto.grade_response ?id:r.g_id ?rid:r.g_rid ~cached ~fuel:e.fuel_spent
+      e.result_json
   in
   let lines =
     List.map
@@ -481,69 +478,46 @@ let grade_batch st (batch : grade_req list) : string list =
               [ ("outcome", Events.S "error") ];
             Proto.error_response ?id:r.g_id ?rid:r.g_rid msg
         | Hit (e, ms) ->
-            Metrics.record_grade st.metrics ~outcome:e.outcome_class
-              ~hit:true ~ms;
-            Metrics.record_diags st.metrics e.diag_counts;
-            emit st ~rid:r.g_rid "cache_hit" [ ("ms", Events.F ms) ];
-            finish r ~cached:true ~outcome:e.outcome_class ~grade_ms:ms;
-            Proto.grade_response ?id:r.g_id ?rid:r.g_rid ~cached:true
-              ~fuel:e.fuel_spent e.result_json
+            reply r e ~cached:true ~ms
+              [ ("cache_hit", [ ("ms", Events.F ms) ]) ]
         | Miss i ->
-            let entry, ms, slow, spans = results.(i) in
-            Shards.add st.cache miss_arr.(i).m_key entry;
+            let e, ms, slow, spans = results.(i) in
+            let key = miss_arr.(i).m_key in
+            Shards.add st.cache key e;
             (* Fresh results — and only fresh results — reach the durable
                log; replayed or duplicate hits are already on disk. *)
             Option.iter
-              (fun s ->
-                Store.append s ~key:miss_arr.(i).m_key
-                  ~value:(encode_entry entry))
+              (fun s -> Store.append s ~key ~value:(encode_entry e))
               st.store;
-            Metrics.record_grade st.metrics ~outcome:entry.outcome_class
-              ~hit:false ~ms;
             Metrics.record_slow st.metrics slow;
-            Metrics.record_diags st.metrics entry.diag_counts;
-            emit st ~rid:r.g_rid "cache_miss" [];
-            emit st ~rid:r.g_rid "grade_done"
-              [
-                ("ms", Events.F ms);
-                ("outcome", Events.S entry.outcome_class);
-              ];
-            Option.iter
-              (fun spans ->
-                Metrics.record_trace_retained st.metrics;
-                emit st ~rid:r.g_rid "trace" [ ("spans", Events.R spans) ])
-              spans;
-            finish r ~cached:false ~outcome:entry.outcome_class
-              ~grade_ms:ms;
-            Proto.grade_response ?id:r.g_id ?rid:r.g_rid ~cached:false
-              ~fuel:entry.fuel_spent entry.result_json
+            let trace =
+              match spans with
+              | Some spans ->
+                  Metrics.record_trace_retained st.metrics;
+                  [ ("trace", [ ("spans", Events.R spans) ]) ]
+              | None -> []
+            in
+            reply r e ~cached:false ~ms
+              (("cache_miss", [])
+              :: ( "grade_done",
+                   [
+                     ("ms", Events.F ms);
+                     ("outcome", Events.S e.outcome_class);
+                   ] )
+              :: trace)
         | Dup i ->
             (* Served from an in-flight computation of this very batch:
                a hit in every observable way, it just wasn't stored yet
                when the lookup ran.  The requester still waited for that
                grading, so its service time — not zero — is what lands
                in the latency reservoir. *)
-            let entry, ms, _, _ = results.(i) in
-            Metrics.record_grade st.metrics ~outcome:entry.outcome_class
-              ~hit:true ~ms;
-            Metrics.record_diags st.metrics entry.diag_counts;
-            emit st ~rid:r.g_rid "cache_hit"
-              [ ("ms", Events.F ms); ("dup", Events.I 1) ];
-            finish r ~cached:true ~outcome:entry.outcome_class ~grade_ms:ms;
-            Proto.grade_response ?id:r.g_id ?rid:r.g_rid ~cached:true
-              ~fuel:entry.fuel_spent entry.result_json)
+            let e, ms, _, _ = results.(i) in
+            reply r e ~cached:true ~ms
+              [ ("cache_hit", [ ("ms", Events.F ms); ("dup", Events.I 1) ]) ])
       resolved
   in
   Option.iter Events.flush st.events;
   lines
-
-let process_batch st oc (batch : grade_req list) =
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n')
-    (grade_batch st batch);
-  flush oc
 
 (* What a stats or metrics request sees beyond the counters; [conns]
    is given by the socket daemon alone, which adds the serving tier. *)
@@ -577,125 +551,119 @@ let view ?conns st ~queue_depth =
         st.events;
   }
 
-(* Request fields override the server defaults; an absent field means
+(* One request line, decoded and counted. *)
+type decoded =
+  | Grade of grade_req  (* admitted: defaults filled, rid minted *)
+  | Reply of string  (* the error line of a request that didn't decode *)
+  | Shutdown of string
+  | Render of (Metrics.view -> string)  (* stats, metrics or slowlog *)
+
+(* The decoder both loops call; [None] for a blank line, which is
+   neither counted nor answered.  A control request is counted here and
+   renders when its loop calls it back, with that loop's view.
+
+   Request fields override the server defaults; an absent field means
    "whatever the daemon was started with".  The correlation id is the
    client's when supplied, else minted here — at admission — when
    telemetry is on; either way it is echoed in the response and stamps
    every event and retained trace of this request's lifecycle. *)
-let grade_req_of st ~id ~rid ~assignment ~source ~fuel ~deadline_s
-    ~with_tests =
-  let config = st.config in
-  let g_rid =
-    match rid with
-    | Some _ -> rid
-    | None ->
-        if telemetry config then begin
-          st.rid_ctr <- st.rid_ctr + 1;
-          Some (Printf.sprintf "r%d-%d" st.rid_seed st.rid_ctr)
-        end
-        else None
-  in
-  emit st ~rid:g_rid "admit" [ ("assignment", Events.S assignment) ];
-  {
-    g_id = id;
-    g_rid;
-    g_assignment = assignment;
-    g_source = source;
-    g_fuel = (match fuel with Some _ -> fuel | None -> config.fuel);
-    g_deadline =
-      (match deadline_s with Some _ -> deadline_s | None -> config.deadline_s);
-    g_with_tests = Option.value ~default:config.with_tests with_tests;
-    g_enq_ms = now_ms ();
-  }
+let decode st line =
+  if String.trim line = "" then None
+  else begin
+    Metrics.record_request st.metrics;
+    Some
+      (match Proto.request_of_line line with
+      | Error (id, msg) ->
+          Metrics.record_error st.metrics;
+          Reply (Proto.error_response ?id msg)
+      | Ok (Proto.Shutdown { id }) -> Shutdown (Proto.shutdown_response ?id ())
+      | Ok (Proto.Stats { id }) ->
+          Metrics.record_stats_req st.metrics;
+          Render
+            (fun v -> Proto.stats_response ?id (Metrics.stats st.metrics v))
+      | Ok (Proto.Metrics { id = _ }) ->
+          (* The one multi-line response: a Prometheus exposition block,
+             "# EOF"-terminated (see Proto).  Counted as a stats-class
+             request. *)
+          Metrics.record_stats_req st.metrics;
+          Render (Metrics.exposition st.metrics)
+      | Ok (Proto.Slowlog { id }) ->
+          Metrics.record_stats_req st.metrics;
+          Render
+            (fun _ -> Proto.slowlog_response ?id (Metrics.slowlog st.metrics))
+      | Ok (Proto.Grade g) ->
+          let config = st.config in
+          let either req dflt = match req with Some _ -> req | None -> dflt in
+          let g_rid =
+            match g.rid with
+            | Some _ -> g.rid
+            | None ->
+                if telemetry config then begin
+                  st.rid_ctr <- st.rid_ctr + 1;
+                  Some (Printf.sprintf "r%d-%d" st.rid_seed st.rid_ctr)
+                end
+                else None
+          in
+          emit st ~rid:g_rid "admit" [ ("assignment", Events.S g.assignment) ];
+          Grade
+            {
+              g_id = g.id;
+              g_rid;
+              g_assignment = g.assignment;
+              g_source = g.source;
+              g_fuel = either g.fuel config.fuel;
+              g_deadline = either g.deadline_s config.deadline_s;
+              g_with_tests =
+                Option.value ~default:config.with_tests g.with_tests;
+              g_enq_ms = now_ms ();
+            })
+  end
 
+(* The stdio loop: one blocking read, then the grade lines that are
+   ready now, at most [queue_cap], graded as one batch; the rest wait
+   in the pipe.  Any other line met while draining ends the batch and
+   is answered after it, so responses keep request order — a stats or
+   metrics answer there sees queue depth 0 by construction (the live
+   depths show up on the socket daemon, where stats overtakes queued
+   work). *)
 let serve_connection st r oc =
-  (* A non-grade line discovered while draining the queue is stashed and
-     re-processed after the batch — responses stay in request order. *)
-  let pending = ref None in
-  let next_line () =
-    match !pending with
-    | Some l ->
-        pending := None;
-        Some l
-    | None -> read_line r
+  let send lines =
+    List.iter
+      (fun line ->
+        output_string oc line;
+        output_char oc '\n')
+      lines;
+    flush oc
   in
-  let rec drain_into batch =
-    if List.length batch >= st.config.queue_cap then List.rev batch
+  let rec drain batch n =
+    if n >= st.config.queue_cap then (batch, None)
     else
       match poll_line r with
-      | None -> List.rev batch
-      | Some l when String.trim l = "" -> drain_into batch
+      | None -> (batch, None)
       | Some l -> (
-          match Proto.request_of_line l with
-          | Ok (Proto.Grade g) ->
-              Metrics.record_request st.metrics;
-              let req =
-                grade_req_of st ~id:g.id ~rid:g.rid
-                  ~assignment:g.assignment ~source:g.source ~fuel:g.fuel
-                  ~deadline_s:g.deadline_s ~with_tests:g.with_tests
-              in
-              drain_into (req :: batch)
-          | _ ->
-              (* stats / shutdown / error: a barrier — park the raw line *)
-              pending := Some l;
-              List.rev batch)
+          match decode st l with
+          | None -> drain batch n
+          | Some (Grade g) -> drain (g :: batch) (n + 1)
+          | Some d -> (batch, Some d))
   in
-  let rec loop () =
-    match next_line () with
+  let rec handle = function
+    | Grade g -> (
+        let batch, barrier = drain [ g ] 1 in
+        send (grade_batch st (List.rev batch));
+        match barrier with Some d -> handle d | None -> loop ())
+    | Reply line ->
+        send [ line ];
+        loop ()
+    | Render render ->
+        send [ render (view st ~queue_depth:0) ];
+        loop ()
+    | Shutdown line ->
+        send [ line ];
+        `Shutdown
+  and loop () =
+    match read_line r with
     | None -> `Eof
-    | Some line when String.trim line = "" -> loop ()
-    | Some line -> (
-        Metrics.record_request st.metrics;
-        match Proto.request_of_line line with
-        | Error (id, msg) ->
-            Metrics.record_error st.metrics;
-            output_string oc (Proto.error_response ?id msg);
-            output_char oc '\n';
-            flush oc;
-            loop ()
-        | Ok (Proto.Stats { id }) ->
-            Metrics.record_stats_req st.metrics;
-            (* Stats is a barrier: every earlier grade was answered
-               before this line is reached, so the truthful queue depth
-               here is zero by construction — the live depths show up on
-               the socket daemon, where stats overtakes queued work. *)
-            output_string oc
-              (Proto.stats_response ?id
-                 (Metrics.stats st.metrics (view st ~queue_depth:0)));
-            output_char oc '\n';
-            flush oc;
-            loop ()
-        | Ok (Proto.Metrics { id = _ }) ->
-            (* The one multi-line response: a Prometheus exposition
-               block, "# EOF"-terminated (see Proto).  Counted as a
-               stats-class request. *)
-            Metrics.record_stats_req st.metrics;
-            output_string oc
-              (Metrics.exposition st.metrics (view st ~queue_depth:0));
-            output_char oc '\n';
-            flush oc;
-            loop ()
-        | Ok (Proto.Slowlog { id }) ->
-            Metrics.record_stats_req st.metrics;
-            output_string oc
-              (Proto.slowlog_response ?id (Metrics.slowlog st.metrics));
-            output_char oc '\n';
-            flush oc;
-            loop ()
-        | Ok (Proto.Shutdown { id }) ->
-            output_string oc (Proto.shutdown_response ?id ());
-            output_char oc '\n';
-            flush oc;
-            `Shutdown
-        | Ok (Proto.Grade g) ->
-            let req =
-              grade_req_of st ~id:g.id ~rid:g.rid ~assignment:g.assignment
-                ~source:g.source ~fuel:g.fuel ~deadline_s:g.deadline_s
-                ~with_tests:g.with_tests
-            in
-            let batch = drain_into [ req ] in
-            process_batch st oc batch;
-            loop ())
+    | Some l -> ( match decode st l with Some d -> handle d | None -> loop ())
   in
   try loop () with Sys_error _ -> `Eof
 
@@ -717,35 +685,38 @@ let serve_stdio config =
    keep one slow or bursty client from wedging the rest):
 
    - Per-connection response order is kept by a FIFO of slots: a slot
-     is either a finished line (errors, stats, shed refusals) or a
-     ticket awaiting its grading round.  Slots drain front-to-back, so
-     a stats response never overtakes an earlier grade response on the
-     same connection, while grading rounds batch tickets across
-     connections freely.
-   - Admission control bounds memory: at most [queue_cap] tickets are
+     is either a finished line (errors, control answers, queue-full
+     sheds) or an answer cell that its grading round fills.  Slots
+     drain front-to-back, so a stats response never overtakes an
+     earlier grade response on the same connection, while grading
+     rounds batch cells across connections freely.
+   - Admission control bounds memory: at most [queue_cap] cells are
      pending at once; a grade line past that is refused on the spot
      with a [rejected:"overloaded"] response.  Past [watermark] (when
      set, with [shed_fuel]), requests are still admitted but on the
      degraded fuel budget — the PR-1 ladder applied at the front door.
      The fuel override is part of the cache key, so degraded results
      never impersonate full-budget ones.
-   - A ticket that waited longer than its own deadline is shed when its
-     round starts, not graded with a stale budget: grading it anyway
-     would poison the cache with a result keyed as full-budget but
-     computed after the requester gave up.
+   - A request that waited longer than its own deadline is shed when
+     its round starts, not graded with a stale budget: grading it
+     anyway would poison the cache with a result keyed as full-budget
+     but computed after the requester gave up.
    - Flow control: a connection whose output backlog exceeds
      {!out_highwater} stops being read (and so stops being admitted)
      until the client drains; its kernel-buffered input just waits.
    - SIGINT/SIGTERM set a stop flag (checked every loop turn; the
      finite select timeout bounds the latency): the listener closes,
-     reads stop, admitted tickets finish, output drains (with a grace
+     reads stop, admitted requests finish, output drains (with a grace
      period), the durable store is compacted + fsynced, the socket
      path unlinked. *)
 
 let out_highwater = 4 * 1024 * 1024
 let drain_grace_s = 5.0
 
-type slot = Done of string | Wait of int
+(* A queued grade's answer cell: empty until its round fills it. *)
+type cell = { w_req : grade_req; mutable w_line : string option }
+
+type slot = Done of string | Wait of cell
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -757,38 +728,28 @@ type conn = {
   mutable c_dead : bool;
 }
 
-type ticket = { t_req : grade_req; t_enq_ms : float }
-
-(* A resolved ticket: the response line, plus the correlation id so
-   the write-out event can be stamped when the line finally leaves. *)
-type resolved_ticket = { r_line : string; r_rid : string option }
-
 let push_out c line =
   Queue.push (line ^ "\n") c.c_out;
   c.c_out_len <- c.c_out_len + String.length line + 1
 
-(* Move every leading resolved slot onto the output queue.  The write
-   event marks the hand-off to the connection's output buffer — the
-   end of the server-side lifecycle (the remaining latency is the
-   socket and the client's reader). *)
-let promote st tickets c =
+(* Move every leading answered slot onto the output queue.  The write
+   event marks a queued request's hand-off to the connection's output
+   buffer — the end of the server-side lifecycle (the remaining latency
+   is the socket and the client's reader). *)
+let promote st c =
   let rec go () =
     match Queue.peek_opt c.c_slots with
     | Some (Done line) ->
         ignore (Queue.pop c.c_slots);
         push_out c line;
         go ()
-    | Some (Wait id) -> (
-        match Hashtbl.find_opt tickets id with
-        | Some rt ->
-            ignore (Queue.pop c.c_slots);
-            Hashtbl.remove tickets id;
-            emit st ~rid:rt.r_rid "write"
-              [ ("bytes", Events.I (String.length rt.r_line + 1)) ];
-            push_out c rt.r_line;
-            go ()
-        | None -> ())
-    | None -> ()
+    | Some (Wait { w_req; w_line = Some line }) ->
+        ignore (Queue.pop c.c_slots);
+        emit st ~rid:w_req.g_rid "write"
+          [ ("bytes", Events.I (String.length line + 1)) ];
+        push_out c line;
+        go ()
+    | Some (Wait { w_line = None; _ }) | None -> ()
   in
   go ()
 
@@ -810,6 +771,15 @@ let rec write_conn c =
       | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
           c.c_dead <- true)
 
+(* Refuse a grade request, on arrival or at its round: counted as shed
+   and, under an SLO, as bad.  [reason] replaces the refusal's default
+   "queue full" wording. *)
+let shed st r ?reason attrs =
+  Metrics.record_shed st.metrics;
+  if st.config.slo_ms <> None then Metrics.record_slo st.metrics ~ok:false;
+  emit st ~rid:r.g_rid "shed" attrs;
+  Proto.overloaded_response ?id:r.g_id ?rid:r.g_rid ?reason ()
+
 let serve_socket config path =
   (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
   | () -> ()
@@ -821,6 +791,13 @@ let serve_socket config path =
   in
   install Sys.sigint;
   install Sys.sigterm;
+  (* One state for the daemon's lifetime: the cache and the stats span
+     connections, which is the whole point of a persistent service.
+     Built before the socket is bound, so a refused start (a locked
+     cache directory, an event-log path that is not a directory) leaves
+     no socket file behind. *)
+  let st = make_state config in
+  Fun.protect ~finally:(fun () -> close_state st) @@ fun () ->
   if Sys.file_exists path then Sys.remove path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock sock;
@@ -830,67 +807,36 @@ let serve_socket config path =
     (try Unix.close sock with _ -> ());
     try Sys.remove path with _ -> ()
   in
-  (try
-     Unix.bind sock (Unix.ADDR_UNIX path);
-     Unix.listen sock config.backlog
-   with e ->
-     cleanup ();
-     raise e);
-  (* One state for the daemon's lifetime: the cache and the stats span
-     connections, which is the whole point of a persistent service. *)
-  let st = make_state config in
-  let pending : (int * ticket) Queue.t = Queue.create () in
-  let tickets : (int, resolved_ticket) Hashtbl.t = Hashtbl.create 64 in
-  let next_ticket = ref 0 in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock config.backlog;
+  let pending : cell Queue.t = Queue.create () in
   let handle_line c line =
-    if String.trim line <> "" then begin
-      Metrics.record_request st.metrics;
-      let depth = Queue.length pending in
-      match Proto.request_of_line line with
-      | Error (id, msg) ->
-          Metrics.record_error st.metrics;
-          Queue.push (Done (Proto.error_response ?id msg)) c.c_slots
-      | Ok (Proto.Stats { id }) ->
-          Metrics.record_stats_req st.metrics;
-          Queue.push
-            (Done
-               (Proto.stats_response ?id
-                  (Metrics.stats st.metrics
-                     (view st ~conns:(List.length !conns) ~queue_depth:depth))))
-            c.c_slots
-      | Ok (Proto.Metrics { id = _ }) ->
-          Metrics.record_stats_req st.metrics;
-          Queue.push
-            (Done
-               (Metrics.exposition st.metrics
-                  (view st ~conns:(List.length !conns) ~queue_depth:depth)))
-            c.c_slots
-      | Ok (Proto.Slowlog { id }) ->
-          Metrics.record_stats_req st.metrics;
-          Queue.push
-            (Done (Proto.slowlog_response ?id (Metrics.slowlog st.metrics)))
-            c.c_slots
-      | Ok (Proto.Shutdown { id }) ->
-          Queue.push (Done (Proto.shutdown_response ?id ())) c.c_slots;
-          stop := true
-      | Ok (Proto.Grade g) ->
-          let req =
-            grade_req_of st ~id:g.id ~rid:g.rid ~assignment:g.assignment
-              ~source:g.source ~fuel:g.fuel ~deadline_s:g.deadline_s
-              ~with_tests:g.with_tests
-          in
-          if depth >= st.config.queue_cap then begin
+    match decode st line with
+    | None -> ()
+    | Some d -> (
+        let depth = Queue.length pending in
+        let push slot = Queue.push slot c.c_slots in
+        match d with
+        | Reply line -> push (Done line)
+        | Render render ->
+            push
+              (Done
+                 (render
+                    (view st ~conns:(List.length !conns) ~queue_depth:depth)))
+        | Shutdown line ->
+            push (Done line);
+            stop := true
+        | Grade req when depth >= st.config.queue_cap ->
             (* Hard shed: answer now, never queue, never grade. *)
-            Metrics.record_shed st.metrics;
-            if st.config.slo_ms <> None then
-              Metrics.record_slo st.metrics ~ok:false;
-            emit st ~rid:req.g_rid "shed"
-              [ ("reason", Events.S "queue full"); ("depth", Events.I depth) ];
-            Queue.push
-              (Done (Proto.overloaded_response ?id:g.id ?rid:req.g_rid ()))
-              c.c_slots
-          end
-          else begin
+            push
+              (Done
+                 (shed st req
+                    [
+                      ("reason", Events.S "queue full");
+                      ("depth", Events.I depth);
+                    ]))
+        | Grade req ->
             let req =
               match (st.config.watermark, st.config.shed_fuel) with
               | Some w, Some sf when depth >= w ->
@@ -902,28 +848,19 @@ let serve_socket config path =
                     match req.g_fuel with Some f -> min f sf | None -> sf
                   in
                   emit st ~rid:req.g_rid "degrade"
-                    [
-                      ("fuel", Events.I clamped);
-                      ("depth", Events.I depth);
-                    ];
+                    [ ("fuel", Events.I clamped); ("depth", Events.I depth) ];
                   { req with g_fuel = Some clamped }
               | _ -> req
             in
-            let id = !next_ticket in
-            incr next_ticket;
-            Queue.push (id, { t_req = req; t_enq_ms = now_ms () }) pending;
+            let cell = { w_req = req; w_line = None } in
+            Queue.push cell pending;
             Metrics.observe_queue_depth st.metrics (Queue.length pending);
-            Queue.push (Wait id) c.c_slots
-          end
-    end
+            push (Wait cell))
   in
   let read_conn c =
-    let rec drain () =
-      match fill_nb c.c_rd with
-      | `Data -> drain ()
-      | `Again | `Eof -> ()
-    in
-    drain ();
+    while fill c.c_rd do
+      ()
+    done;
     let rec lines () =
       match take_buffered_line c.c_rd with
       | Some l ->
@@ -935,44 +872,35 @@ let serve_socket config path =
   in
   let run_pending () =
     if not (Queue.is_empty pending) then begin
-      let items = List.of_seq (Queue.to_seq pending) in
+      let cells = List.of_seq (Queue.to_seq pending) in
       Queue.clear pending;
       let now = now_ms () in
       let live, expired =
         List.partition
-          (fun (_, t) ->
-            match t.t_req.g_deadline with
-            | Some d -> (now -. t.t_enq_ms) /. 1000.0 < d
+          (fun w ->
+            match w.w_req.g_deadline with
+            | Some d -> (now -. w.w_req.g_enq_ms) /. 1000.0 < d
             | None -> true)
-          items
+          cells
       in
       (* Queue-expired requests are shed, not graded: the requester's
          deadline already passed, and grading on the leftover budget
          would cache a result keyed as if it ran on the full one. *)
+      let reason = "deadline exceeded while queued" in
       List.iter
-        (fun (id, t) ->
-          Metrics.record_shed st.metrics;
-          if st.config.slo_ms <> None then
-            Metrics.record_slo st.metrics ~ok:false;
-          emit st ~rid:t.t_req.g_rid "shed"
-            [
-              ("reason", Events.S "deadline exceeded while queued");
-              ("queue_ms", Events.F (now -. t.t_enq_ms));
-            ];
-          Hashtbl.replace tickets id
-            {
-              r_line =
-                Proto.overloaded_response ?id:t.t_req.g_id
-                  ?rid:t.t_req.g_rid
-                  ~reason:"deadline exceeded while queued" ();
-              r_rid = t.t_req.g_rid;
-            })
+        (fun w ->
+          w.w_line <-
+            Some
+              (shed st w.w_req ~reason
+                 [
+                   ("reason", Events.S reason);
+                   ("queue_ms", Events.F (now -. w.w_req.g_enq_ms));
+                 ]))
         expired;
-      let lines = grade_batch st (List.map (fun (_, t) -> t.t_req) live) in
       List.iter2
-        (fun (id, t) line ->
-          Hashtbl.replace tickets id { r_line = line; r_rid = t.t_req.g_rid })
-        live lines
+        (fun w line -> w.w_line <- Some line)
+        live
+        (grade_batch st (List.map (fun w -> w.w_req) live))
     end
   in
   let drain_deadline = ref infinity in
@@ -1024,7 +952,7 @@ let serve_socket config path =
     run_pending ();
     List.iter
       (fun c ->
-        promote st tickets c;
+        promote st c;
         if c.c_out_len > 0 && (List.mem c.c_fd wready || !stop) then
           write_conn c)
       !conns;
@@ -1052,8 +980,4 @@ let serve_socket config path =
     if !stop && (drained || now_ms () > !drain_deadline) then ()
     else loop ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      cleanup ();
-      close_state st)
-    loop
+  loop ()
