@@ -128,14 +128,6 @@ let oracle_degrees (b : Bundles.t) =
   | Ok ds -> ds
   | Error _ -> []
 
-let grade_guarded ?budget spec src =
-  match parse_stage src with
-  | Error d -> Outcome.Rejected d
-  | Ok ((prog, _) as parsed) ->
-      let diags = analyze_stage parsed in
-      let grading, reasons = grade_prog ?budget spec prog in
-      outcome_of ~tests:Outcome.Tests_not_run ~diags grading reasons
-
 (* Functional testing under the shared budget.  A failing submission is
    a normal graded outcome; only an unrunnable suite or fuel exhaustion
    mid-test degrades. *)

@@ -20,23 +20,16 @@
 
     Only unparseable input is [Rejected]. *)
 
-val grade_guarded :
-  ?budget:Jfeed_budget.Budget.t ->
-  Jfeed_core.Grader.spec ->
-  string ->
-  Outcome.t
-(** Grade a source string against a grading spec, guarded by the
-    ladder.  Functional tests are not run ([tests = Tests_not_run]). *)
-
 val assess :
   ?budget:Jfeed_budget.Budget.t ->
   ?with_tests:bool ->
   Jfeed_kb.Bundles.t ->
   string ->
   Outcome.t
-(** {!grade_guarded} against the bundle's grading spec, then (unless
-    [~with_tests:false]) the bundle's functional-test suite under the
-    same budget.  A submission that merely {e fails} the tests is still
+(** Grade a source string against the bundle's grading spec, guarded by
+    the ladder, then (unless [~with_tests:false], which reports
+    [tests = Tests_not_run]) run the bundle's functional-test suite
+    under the same budget.  A submission that merely {e fails} the tests is still
     [Graded] — test failure is a grading verdict, not a degradation;
     but fuel exhaustion mid-test ({!Outcome.Interp_exhausted}) or an
     unrunnable suite ({!Outcome.Tests_skipped}) degrade. *)

@@ -285,7 +285,7 @@ let test_broken_fixture_covers_all_checks () =
 let test_outcome_carries_diags () =
   let b = List.hd Bundles.all in
   let src = "int f(int n) {\n    int u;\n    return u;\n}" in
-  match Pipeline.grade_guarded b.Bundles.grading src with
+  match Pipeline.assess ~with_tests:false b src with
   | Outcome.Rejected _ -> Alcotest.fail "parseable input was rejected"
   | o ->
       let rep = Option.get (Outcome.report o) in

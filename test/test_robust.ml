@@ -319,7 +319,7 @@ let test_starved_pairing_degrades () =
   let b = Bundles.assignment1 in
   let src = Jfeed_gen.Spec.reference b.Bundles.gen in
   let budget = Budget.create ~fuel:0 () in
-  match Pipeline.grade_guarded ~budget b.Bundles.grading src with
+  match Pipeline.assess ~budget ~with_tests:false b src with
   | Outcome.Degraded (report, reasons) ->
       let stages = List.map Outcome.stage_of_reason reasons in
       check "pairing exhaustion is named" true (List.mem "pairing" stages);
@@ -345,7 +345,7 @@ let test_guarded_matches_plain_grade () =
   let plain =
     Grader.grade b.Bundles.grading (Jfeed_java.Parser.parse_program src)
   in
-  match Pipeline.grade_guarded b.Bundles.grading src with
+  match Pipeline.assess ~with_tests:false b src with
   | Outcome.Graded report ->
       check "same score" true
         (report.Outcome.grading.Grader.score = plain.Grader.score);
