@@ -10,8 +10,13 @@
                     that makes the functional tests pass
     - [batch]     — grade a directory of submissions through the resilient
                     pipeline; JSON summary, never crashes on bad input
+    - [strategies] — the predefined algorithmic strategies (§VI-C)
     - [serve]     — persistent grading daemon over newline-delimited JSON
                     with a content-addressed result cache
+    - [client]    — pump stdin to a serve daemon's Unix socket and its
+                    answers back to stdout
+    - [logs]      — replay a serve daemon's lifecycle event log
+    - [top]       — live operator console for a serve daemon
     - [assignments] — the bundle ids, one per line (scripting aid)
     - [analyze]   — run the static analysis passes over submission files
     - [lint-kb]   — statically validate the shipped pattern bundles
@@ -714,10 +719,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the persistent grading daemon: newline-delimited JSON \
-          requests (grade/stats/shutdown) on stdin or a Unix socket \
-          (concurrent connections, admission control, optional durable \
-          cache), one response line per request, α-renaming-aware result \
-          cache")
+          requests (grade/stats/metrics/slowlog/shutdown) on stdin or a \
+          Unix socket (concurrent connections, admission control, \
+          optional durable cache), one answer per request in request \
+          order — one line each, except metrics, which answers with a \
+          Prometheus exposition block of several lines ending in \
+          '# EOF' — and an α-renaming-aware result cache")
     Term.(
       const run $ socket $ cache_cap $ queue_cap $ jobs $ fuel $ deadline
       $ no_tests $ cache_dir $ backlog $ shards $ watermark $ shed_fuel

@@ -1,35 +1,42 @@
 (** The persistent grading daemon ([jfeed serve]).
 
-    Two serving modes share one request-handling core:
+    Two serving loops share one request path.  Each request line goes
+    through one decoder, which counts it and turns it into a grade
+    request (defaults filled in, correlation id minted, admitted), an
+    error reply, a shutdown reply, or a renderer for [stats], [metrics]
+    or [slowlog] that the loop calls with its own view of the queue.
+    Grade requests are answered in batches by one grading round:
+    resolve each against the content-addressed result cache
+    ({!Normalize} keys into the sharded {!Shards} LRU, duplicates
+    {e within} the batch collapse onto one computation), grade the
+    misses on the pool under one fresh per-request budget each
+    ({!Jfeed_robust.Pipeline.grade_submission}), and produce one
+    response line per request, in request order.  A malformed line
+    costs one [error] response, never the daemon.
 
     {b Stdio / single descriptor} ({!serve_fd}, {!serve_stdio}) — the
-    historical blocking loop, drivable from cram tests and shell
-    pipelines:
-
-    + read one request line (blocking);
-    + if it is a [grade], drain further {e immediately available} grade
-      lines into a bounded in-memory queue (at most [queue_cap]; lines
-      beyond that stay in the kernel pipe buffer — backpressure without
-      an unbounded heap);
-    + resolve each queued request against the content-addressed result
-      cache ({!Normalize} keys into the sharded {!Shards} LRU);
-      duplicates {e within} the batch collapse onto one computation too;
-    + grade the remaining misses on the pool, one fresh per-request
-      budget each ({!Jfeed_robust.Pipeline.grade_submission});
-    + emit one response line per request, in request order.
-
-    [stats] and [shutdown] requests are barriers: they are answered
-    after every earlier grade response.  A malformed line costs one
-    [error] response, never the daemon.
+    blocking loop, drivable from cram tests and shell pipelines.  It
+    reads one line (blocking); if it is a [grade], it drains further
+    {e immediately available} grade lines into the batch (at most
+    [queue_cap]; lines beyond that stay in the kernel pipe buffer —
+    backpressure without an unbounded heap).  Any other line met while
+    draining, not just [stats] and [shutdown], ends the batch: it is
+    decoded and counted when read and answered after every earlier
+    grade response, so a [stats] answer there reports queue depth 0.
+    This loop never sheds.
 
     {b Socket daemon} ({!serve_socket}) — a select(2) event loop
-    serving many connections at once.  Per-connection response order is
-    kept by slot FIFOs while grading rounds batch requests across
+    serving many connections at once.  Each connection keeps a FIFO of
+    slots: a finished line, or an answer cell that a waiting grade
+    request's round fills.  Slots drain in order, so per-connection
+    response order holds while grading rounds batch requests across
     connections; a slow reader only stalls itself (its output backlog
     trips flow control and its input waits in the kernel buffer).
+    Control requests answer when read, with the live queue depth.
     Admission control sheds load past [queue_cap] with an explicit
     [rejected:"overloaded"] line, optionally admitting on a degraded
-    fuel budget between [watermark] and the cap; SIGINT/SIGTERM drain
+    fuel budget between [watermark] and the cap, and sheds a request
+    whose deadline passed while it was queued; SIGINT/SIGTERM drain
     in-flight work, flush the durable store and unlink the socket.
 
     With [cache_dir] set, the result cache is durable: every fresh
@@ -127,7 +134,10 @@ val serve_socket : config -> string -> unit
 (** Listen on a Unix-domain socket at the given path (unlinked first if
     stale, removed on exit) and serve connections {e concurrently}
     through the event loop, sharing cache and metrics across them —
-    connection n+1 hits the results connection n computed.  A
-    [shutdown] request or SIGINT/SIGTERM stops the daemon gracefully:
-    admitted work finishes, output drains, the durable store is
-    compacted and fsynced.  A client hangup only ends its connection. *)
+    connection n+1 hits the results connection n computed.  The
+    durable store and the event log open before the socket is bound,
+    so a refused start (a locked cache directory, say) touches no
+    socket file.  A [shutdown] request or SIGINT/SIGTERM stops the
+    daemon gracefully: admitted work finishes, output drains, the
+    durable store is compacted and fsynced.  A client hangup only ends
+    its connection. *)
