@@ -10,8 +10,16 @@
     - [compare] — the §VI-C comparison against the CLARA-like and
       Sketch-like baselines: input-size sensitivity, repair-depth blowup,
       and the Fig. 8 reference-matching failure.
+    - [ablation], [scaling] — the §VII extensions' effect on the
+      discrepancies, and matching time against submission size.
+    - [repair], [analyze] — deterministic reports (counts only, no
+      timings) of the repair rate over injected mutants and of the
+      static analysis' yield; test/cram/perf.t pins both.
+    - [load] — the open-loop overload sweep, written to BENCH_load.json.
 
-    Running with no arguments executes all three with default sizes. *)
+    Running with no arguments executes table1, micro, compare, ablation
+    and scaling with default sizes.  An unknown subcommand or option is
+    a usage error (exit 2). *)
 
 open Jfeed_kb
 open Jfeed_core
@@ -20,6 +28,9 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+let rate num den =
+  if den > 0 then float_of_int num /. float_of_int den else 0.0
 
 let feedback_positive (r : Grader.result) =
   List.for_all (fun c -> c.Feedback.verdict = Feedback.Correct) r.Grader.comments
@@ -186,191 +197,32 @@ let micro () =
     (List.sort compare entries)
 
 (* ------------------------------------------------------------------ *)
-(* micro --json: the tracked perf trajectory (BENCH_grading.json)      *)
-
-(* Wall-clock batch grading over the Table-I sample, sequential vs
-   [--jobs N], written to BENCH_grading.json so the speedup and the
-   per-assignment ms/submission are tracked across PRs.  Functional
-   tests are skipped: the file tracks matching throughput (column M's
-   operational headline), not interpreter speed. *)
-let micro_json ~sample ~seed ~jobs () =
-  let searches0 = Jfeed_core.Plan.searches () in
-  let rejects0 = Jfeed_core.Plan.prefilter_rejects () in
-  let rows =
-    List.map
-      (fun (b : Bundles.t) ->
-        let spec = b.Bundles.gen in
-        let indices = Jfeed_gen.Spec.sample_indices spec ~n:sample ~seed in
-        let sources =
-          List.map
-            (fun idx ->
-              ( Printf.sprintf "s%06d.java" idx,
-                Ok (Jfeed_gen.Spec.source_of_index spec idx) ))
-            indices
-        in
-        (* Sampled indices are pairwise distinct sources, so dedup could
-           only add fingerprint overhead here: it is off, keeping the
-           per-assignment ms/submission a pure match-plan measurement. *)
-        let run ?traced j =
-          time (fun () ->
-              Jfeed_robust.Pipeline.run_batch ~with_tests:false ~jobs:j
-                ?traced ~dedup:false b sources)
-        in
-        let seq_summary, seq_s = run 1 in
-        let par_summary, par_s = run jobs in
-        (* A third, fully traced sequential pass: its wall-clock against
-           the untraced one is the price of turning tracing ON — and its
-           grades must be byte-identical (tracing observes, never
-           steers). *)
-        let traced_summary, traced_s = run ~traced:true 1 in
-        let identical =
-          Jfeed_robust.Pipeline.summary_to_json seq_summary
-          = Jfeed_robust.Pipeline.summary_to_json par_summary
-          && Jfeed_robust.Pipeline.summary_to_json seq_summary
-             = Jfeed_robust.Pipeline.summary_to_json ~traces:false
-                 traced_summary
-        in
-        (b.Bundles.grading.Grader.a_id, List.length indices, seq_s, par_s,
-         traced_s, identical))
-      Bundles.all
-  in
-  let searches = Jfeed_core.Plan.searches () - searches0 in
-  let rejects = Jfeed_core.Plan.prefilter_rejects () - rejects0 in
-  let prefilter_reject_rate =
-    if searches > 0 then float_of_int rejects /. float_of_int searches
-    else 0.0
-  in
-  (* The dedup trajectory: a MOOC-realistic duplicate-heavy corpus —
-     every unique submission resubmitted once under α-renaming — through
-     the heaviest-matching assignment, graded with dedup on vs off.  The
-     speedup must exceed 1 and the outcomes must be byte-identical
-     modulo the summary's own dedup counters. *)
-  let strip_dedup s =
-    match
-      let marker = {|,"dedup":{|} in
-      let m = String.length marker and n = String.length s in
-      let rec find i =
-        if i + m > n then None
-        else if String.sub s i m = marker then Some i
-        else find (i + 1)
-      in
-      find 0
-    with
-    | None -> s
-    | Some i ->
-        let j = String.index_from s (i + 1) '}' in
-        String.sub s 0 i ^ String.sub s (j + 1) (String.length s - j - 1)
-  in
-  let dedup_row =
-    let b =
-      List.find
-        (fun (b : Bundles.t) ->
-          b.Bundles.grading.Grader.a_id = "rit-all-g-medals")
-        Bundles.all
-    in
-    let spec = b.Bundles.gen in
-    let n_unique = max 1 (sample / 2) in
-    let uniques =
-      List.map
-        (Jfeed_gen.Spec.source_of_index spec)
-        (Jfeed_gen.Spec.sample_indices spec ~n:n_unique ~seed)
-    in
-    let sources =
-      List.concat
-        (List.mapi
-           (fun i src ->
-             [
-               (Printf.sprintf "s%06d.java" i, Ok src);
-               ( Printf.sprintf "d%06d.java" i,
-                 Ok (Jfeed_gen.Mutate.alpha_rename ~seed:(seed + i) src) );
-             ])
-           uniques)
-    in
-    let run dedup =
-      time (fun () ->
-          Jfeed_robust.Pipeline.run_batch ~with_tests:false ~jobs:1 ~dedup b
-            sources)
-    in
-    let without_summary, without_s = run false in
-    let with_summary, with_s = run true in
-    let identical =
-      strip_dedup (Jfeed_robust.Pipeline.summary_to_json with_summary)
-      = Jfeed_robust.Pipeline.summary_to_json without_summary
-    in
-    let speedup = if with_s > 0.0 then without_s /. with_s else 0.0 in
-    (List.length sources, without_s, with_s, speedup, identical)
-  in
-  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let seq_total = sum (fun (_, _, s, _, _, _) -> s) in
-  let par_total = sum (fun (_, _, _, p, _, _) -> p) in
-  let traced_total = sum (fun (_, _, _, _, t, _) -> t) in
-  let submissions =
-    List.fold_left (fun acc (_, n, _, _, _, _) -> acc + n) 0 rows
-  in
-  let identical = List.for_all (fun (_, _, _, _, _, i) -> i) rows in
-  let speedup = if par_total > 0.0 then seq_total /. par_total else 0.0 in
-  let trace_overhead_pct =
-    if seq_total > 0.0 then
-      100.0 *. (traced_total -. seq_total) /. seq_total
-    else 0.0
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"schema":"jfeed-bench-grading/3","sample":%d,"seed":%d,"jobs":%d,"assignments":[|}
-       sample seed jobs);
-  List.iteri
-    (fun i (id, n, seq_s, par_s, _, _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n  \
-            {\"id\":\"%s\",\"submissions\":%d,\"ms_per_submission\":%.4f,\"sequential_s\":%.4f,\"parallel_s\":%.4f}"
-           id n
-           (1000.0 *. seq_s /. float_of_int (max 1 n))
-           seq_s par_s))
-    rows;
-  let dd_subs, dd_without_s, dd_with_s, dedup_speedup, dd_identical =
-    dedup_row
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n\
-        ],\"batch\":{\"submissions\":%d,\"sequential_s\":%.4f,\"parallel_s\":%.4f,\"speedup\":%.3f,\"trace_overhead_pct\":%.1f,\"prefilter_reject_rate\":%.4f,\"identical\":%b},\"dedup\":{\"submissions\":%d,\"duplicate_ratio\":0.50,\"no_dedup_s\":%.4f,\"dedup_s\":%.4f,\"dedup_speedup\":%.3f,\"identical\":%b}}"
-       submissions seq_total par_total speedup trace_overhead_pct
-       prefilter_reject_rate identical dd_subs dd_without_s dd_with_s
-       dedup_speedup dd_identical);
-  let json = Buffer.contents buf in
-  let oc = open_out "BENCH_grading.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "BENCH_grading.json written: %d submissions, sequential %.3fs, --jobs \
-     %d %.3fs, speedup %.2fx, trace overhead %.1f%%, prefilter reject rate \
-     %.2f, dedup speedup %.2fx, output identical: %b\n"
-    submissions seq_total jobs par_total speedup trace_overhead_pct
-    prefilter_reject_rate dedup_speedup
-    (identical && dd_identical)
-
-(* ------------------------------------------------------------------ *)
-(* repair: repair rate over the fault-injected mutant corpus
-   (BENCH_repair.json)                                                 *)
+(* repair: repair rate over the fault-injected mutant corpus           *)
 
 (* Inject single edits from the shared error-model catalog into every
    assignment's reference solution, keep the mutants that actually fail
-   the functional tests, and measure how often — and how quickly — the
-   repair search finds a passing fix.  The catalog is closed under
-   inverses, so the interesting numbers are the rate (does the search
-   reach the inverse within budget?) and the median candidates screened
-   (how well the KB-guided priority order front-loads it). *)
-let repair_json ~sample ~seed ~jobs () =
+   the functional tests, and count how often — and after how many
+   screened candidates — the repair search finds a passing fix.  The
+   catalog is closed under inverses, so the interesting numbers are the
+   rate (does the search reach the inverse within budget?) and the
+   median candidates screened (how well the KB-guided priority order
+   front-loads it).  The report holds counts only, so it is byte-stable
+   and test/cram/perf.t pins it whole. *)
+let repair ~sample ~seed ~jobs () =
+  let module R = Jfeed_repair.Repair in
   let median xs =
     match List.sort compare xs with
     | [] -> 0
     | sorted -> List.nth sorted (List.length sorted / 2)
   in
   let identical = ref true in
+  Printf.printf "Repair of single-edit mutants (sample %d, seed %d)\n" sample
+    seed;
+  Printf.printf "%-20s %7s %7s %8s %6s %6s\n" "Assignment" "mutants" "failing"
+    "repaired" "rate" "median";
+  let print_row id (m, f, r, med) =
+    Printf.printf "%-20s %7d %7d %8d %6.3f %6d\n" id m f r (rate r f) med
+  in
   let rows =
     List.map
       (fun (b : Bundles.t) ->
@@ -381,108 +233,82 @@ let repair_json ~sample ~seed ~jobs () =
             (List.init sample Fun.id)
         in
         let failing = ref 0 and repaired = ref 0 and tried = ref [] in
-        let _, wall_s =
-          time (fun () ->
-              List.iter
-                (fun (msrc, _fault) ->
-                  let o = Jfeed_repair.Repair.search ~jobs:1 b msrc in
-                  match o.Jfeed_repair.Repair.status with
-                  | Jfeed_repair.Repair.Already_passing
-                  | Jfeed_repair.Repair.Unrepairable _ ->
-                      (* the injected edit did not change observable
-                         behaviour (dead code, compensating tests) — not
-                         a failing mutant, so not part of the rate *)
-                      ()
-                  | Jfeed_repair.Repair.Repaired | Jfeed_repair.Repair.No_repair
-                    ->
-                      incr failing;
-                      (* jobs-invariance is part of the tracked record:
-                         the parallel search must reproduce the
-                         sequential outcome byte for byte *)
-                      if jobs > 1 then begin
-                        let oj = Jfeed_repair.Repair.search ~jobs b msrc in
-                        if
-                          Jfeed_repair.Repair.to_json oj
-                          <> Jfeed_repair.Repair.to_json o
-                        then identical := false
-                      end;
-                      (match o.Jfeed_repair.Repair.hint with
-                      | Some h ->
-                          incr repaired;
-                          tried := h.Jfeed_repair.Repair.h_rank :: !tried
-                      | None ->
-                          tried := o.Jfeed_repair.Repair.candidates :: !tried))
-                mutants)
-        in
-        ( b.Bundles.grading.Grader.a_id,
-          List.length mutants,
-          !failing,
-          !repaired,
-          median !tried,
-          wall_s ))
+        List.iter
+          (fun (msrc, _fault) ->
+            let o = R.search ~jobs:1 b msrc in
+            match o.R.status with
+            | R.Already_passing | R.Unrepairable _ ->
+                (* the injected edit did not change observable behaviour
+                   (dead code, compensating tests) — not a failing
+                   mutant, so not part of the rate *)
+                ()
+            | R.Repaired | R.No_repair -> (
+                incr failing;
+                (* the parallel search must reproduce the sequential
+                   outcome byte for byte *)
+                if
+                  jobs > 1 && R.to_json (R.search ~jobs b msrc) <> R.to_json o
+                then identical := false;
+                match o.R.hint with
+                | Some h ->
+                    incr repaired;
+                    tried := h.R.h_rank :: !tried
+                | None -> tried := o.R.candidates :: !tried))
+          mutants;
+        let row = (List.length mutants, !failing, !repaired, median !tried) in
+        print_row b.Bundles.grading.Grader.a_id row;
+        row)
       Bundles.all
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let mutants = sum (fun (_, m, _, _, _, _) -> m) in
-  let failing = sum (fun (_, _, f, _, _, _) -> f) in
-  let repaired = sum (fun (_, _, _, r, _, _) -> r) in
-  let wall_total =
-    List.fold_left (fun acc (_, _, _, _, _, w) -> acc +. w) 0.0 rows
-  in
-  let rate num den =
-    if den > 0 then float_of_int num /. float_of_int den else 0.0
-  in
-  let medians =
-    List.concat_map (fun (_, _, f, _, med, _) -> if f > 0 then [ med ] else [])
-      rows
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"schema":"jfeed-bench-repair/1","sample":%d,"seed":%d,"jobs":%d,"assignments":[|}
-       sample seed jobs);
-  List.iteri
-    (fun i (id, m, f, r, med, w) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n  \
-            {\"id\":\"%s\",\"mutants\":%d,\"failing\":%d,\"repaired\":%d,\"repair_rate\":%.4f,\"median_candidates\":%d,\"wall_s\":%.4f}"
-           id m f r (rate r f) med w))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n\
-        ],\"total\":{\"mutants\":%d,\"failing\":%d,\"repaired\":%d,\"repair_rate\":%.4f,\"median_candidates\":%d,\"identical\":%b,\"wall_s\":%.4f}}"
-       mutants failing repaired (rate repaired failing) (median medians)
-       !identical wall_total);
-  let json = Buffer.contents buf in
-  let oc = open_out "BENCH_repair.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  print_row "total"
+    ( sum (fun (m, _, _, _) -> m),
+      sum (fun (_, f, _, _) -> f),
+      sum (fun (_, _, r, _) -> r),
+      median
+        (List.concat_map
+           (fun (_, f, _, med) -> if f > 0 then [ med ] else [])
+           rows) );
   Printf.printf
-    "BENCH_repair.json written: %d mutants (%d failing), repaired %d (rate \
-     %.2f), median candidates %d, output identical across --jobs: %b\n"
-    mutants failing repaired (rate repaired failing) (median medians)
-    !identical
+    "(rate = repaired/failing; median = candidates screened up to the fix, \
+     or in all when none passed;\n\
+    \ the total's median is the median of the assignments' medians.)\n";
+  if jobs > 1 then begin
+    Printf.printf "--jobs %d outcomes identical to --jobs 1: %b\n" jobs
+      !identical;
+    if not !identical then exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
-(* analyze: the static-analysis trajectory (BENCH_analysis.json)       *)
+(* analyze: the static-analysis yield                                  *)
 
 (* Run the full ten-pass analysis — the flow passes plus the interval
    abstract interpretation — over a deterministic sample of every
    assignment, with each reference solution as the efficiency oracle,
-   and track both the cost and the yield: analysis ms/submission,
-   findings per pass, and the fraction of loops whose iteration bound
-   the engine classifies (the bound-inference hit rate). *)
-let analyze_json ~sample ~seed () =
+   and report its yield: findings per pass, and the fraction of loops
+   whose iteration bound the engine classifies (the bound-inference hit
+   rate).  Counts only, so test/cram/perf.t pins the report whole. *)
+let analyze ~sample ~seed () =
   let module P = Jfeed_absint.Passes in
+  Printf.printf "Static analysis, ten passes (sample %d, seed %d)\n" sample
+    seed;
+  Printf.printf "%-20s %5s %6s %8s %6s  %s\n" "Assignment" "subs" "loops"
+    "bounded" "rate" "findings";
+  let print_row id (n, loops, bounded, counts) =
+    let found =
+      List.filter_map
+        (fun (pass, k) ->
+          if k > 0 then Some (Printf.sprintf "%s %d" pass k) else None)
+        counts
+    in
+    Printf.printf "%-20s %5d %6d %8d %6.3f  %s\n" id n loops bounded
+      (rate bounded loops)
+      (if found = [] then "-" else String.concat ", " found)
+  in
   let rows =
     List.map
       (fun (b : Bundles.t) ->
         let spec = b.Bundles.gen in
-        let indices = Jfeed_gen.Spec.sample_indices spec ~n:sample ~seed in
         let oracle_degrees =
           P.method_degrees
             (Jfeed_java.Parser.parse_program (Jfeed_gen.Spec.reference spec))
@@ -492,85 +318,37 @@ let analyze_json ~sample ~seed () =
             (fun idx ->
               Jfeed_java.Parser.parse_program
                 (Jfeed_gen.Spec.source_of_index spec idx))
-            indices
+            (Jfeed_gen.Spec.sample_indices spec ~n:sample ~seed)
         in
-        let loops = ref 0 and bounded = ref 0 in
-        List.iter
-          (fun prog ->
-            let l, c = P.bound_stats prog in
-            loops := !loops + l;
-            bounded := !bounded + c)
-          progs;
-        let diags, wall_s =
-          time (fun () ->
-              List.concat_map (fun p -> P.analyze_program ~oracle_degrees p)
-                progs)
+        let loops, bounded =
+          List.fold_left
+            (fun (l, c) prog ->
+              let l', c' = P.bound_stats prog in
+              (l + l', c + c'))
+            (0, 0) progs
         in
-        ( b.Bundles.grading.Grader.a_id,
-          List.length indices,
-          wall_s,
-          P.count_by_pass diags,
-          !loops,
-          !bounded ))
+        let diags =
+          List.concat_map (fun p -> P.analyze_program ~oracle_degrees p) progs
+        in
+        let row = (List.length progs, loops, bounded, P.count_by_pass diags) in
+        print_row b.Bundles.grading.Grader.a_id row;
+        row)
       Bundles.all
   in
-  let diags_json counts =
-    String.concat ","
-      (List.map (fun (p, n) -> Printf.sprintf {|{"pass":"%s","n":%d}|} p n)
-         counts)
-  in
-  let rate num den =
-    if den > 0 then float_of_int num /. float_of_int den else 0.0
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"schema":"jfeed-bench-analysis/1","sample":%d,"seed":%d,"assignments":[|}
-       sample seed);
-  List.iteri
-    (fun i (id, n, wall_s, counts, loops, bounded) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n  \
-            {\"id\":\"%s\",\"submissions\":%d,\"ms_per_submission\":%.4f,\"loops\":%d,\"bounded\":%d,\"bound_hit_rate\":%.4f,\"diags\":[%s]}"
-           id n
-           (1000.0 *. wall_s /. float_of_int (max 1 n))
-           loops bounded (rate bounded loops) (diags_json counts)))
-    rows;
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let submissions = sum (fun (_, n, _, _, _, _) -> n) in
-  let loops = sum (fun (_, _, _, _, l, _) -> l) in
-  let bounded = sum (fun (_, _, _, _, _, c) -> c) in
-  let wall_total =
-    List.fold_left (fun acc (_, _, w, _, _, _) -> acc +. w) 0.0 rows
-  in
-  let totals =
-    List.map
-      (fun pass ->
-        ( pass,
-          sum (fun (_, _, _, counts, _, _) ->
-              Option.value ~default:0 (List.assoc_opt pass counts)) ))
-      P.all_pass_ids
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n\
-        ],\"total\":{\"submissions\":%d,\"ms_per_submission\":%.4f,\"loops\":%d,\"bounded\":%d,\"bound_hit_rate\":%.4f,\"diags\":[%s]}}"
-       submissions
-       (1000.0 *. wall_total /. float_of_int (max 1 submissions))
-       loops bounded (rate bounded loops) (diags_json totals));
-  let json = Buffer.contents buf in
-  let oc = open_out "BENCH_analysis.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  print_row "total"
+    ( sum (fun (n, _, _, _) -> n),
+      sum (fun (_, l, _, _) -> l),
+      sum (fun (_, _, c, _) -> c),
+      List.map
+        (fun pass ->
+          ( pass,
+            sum (fun (_, _, _, counts) ->
+                Option.value ~default:0 (List.assoc_opt pass counts)) ))
+        P.all_pass_ids );
   Printf.printf
-    "BENCH_analysis.json written: %d submissions, %.4f ms/submission, \
-     bound hit rate %.2f (%d/%d loops)\n"
-    submissions
-    (1000.0 *. wall_total /. float_of_int (max 1 submissions))
-    (rate bounded loops) bounded loops
+    "(rate = bounded/loops, the bound-inference hit rate; a pass not \
+     listed found nothing.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* load: the open-loop overload benchmark (BENCH_load.json)            *)
@@ -1217,47 +995,79 @@ let ablation ~sample ~seed () =
     \ knowledge base accepts without masking functional errors.)\n"
 
 (* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+
+let subcommands =
+  [ "table1"; "micro"; "repair"; "analyze"; "load"; "compare"; "ablation";
+    "scaling" ]
+
+(* Every option some subcommand reads: switches, then options that take a
+   value.  Anything else is a usage error. *)
+let switches = [ "--full"; "--explain" ]
+
+let valued =
+  [ "--sample"; "--seed"; "--jobs"; "--rates"; "--requests"; "--dup";
+    "--conns"; "--queue-cap"; "--watermark"; "--shed-fuel" ]
+
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("jfeed-bench: " ^ msg);
+      exit 2)
+    fmt
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let has f = List.mem f args in
-  let opt name default =
-    let rec go = function
-      | a :: b :: _ when a = name -> int_of_string b
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go args
+  let cmd, rest =
+    match List.tl (Array.to_list Sys.argv) with
+    | c :: rest when not (String.starts_with ~prefix:"-" c) ->
+        if List.mem c subcommands then (Some c, rest)
+        else
+          usage "unknown subcommand %S (one of %s)" c
+            (String.concat ", " subcommands)
+    | rest -> (None, rest)
   in
-  let str_opt name default =
-    let rec go = function
-      | a :: b :: _ when a = name -> b
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go args
+  let rec parse = function
+    | [] -> []
+    | f :: rest when List.mem f switches -> (f, "") :: parse rest
+    | f :: rest when List.mem f valued -> (
+        match rest with
+        | v :: rest when not (String.starts_with ~prefix:"--" v) ->
+            (f, v) :: parse rest
+        | _ -> usage "%s needs a value" f)
+    | a :: _ -> usage "unknown argument %S" a
+  in
+  let opts = parse rest in
+  let has f = List.mem_assoc f opts in
+  let opt name default =
+    match List.assoc_opt name opts with
+    | None -> default
+    | Some v -> (
+        match int_of_string_opt v with
+        | Some n -> n
+        | None -> usage "%s expects an integer, got %S" name v)
   in
   let sample = opt "--sample" 150 in
   let seed = opt "--seed" 42 in
   let jobs = opt "--jobs" 4 in
-  match args with
-  | _ :: "table1" :: _ ->
+  match cmd with
+  | Some "table1" ->
       table1 ~sample ~seed ~full:(has "--full") ~explain:(has "--explain") ()
-  | _ :: "micro" :: _ when has "--json" -> micro_json ~sample ~seed ~jobs ()
-  | _ :: "micro" :: _ -> micro ()
-  | _ :: "repair" :: _ ->
+  | Some "micro" -> micro ()
+  | Some "repair" ->
       (* The corpus grows multiplicatively (assignments × mutants ×
-         candidate screenings), so the repair gate has its own, smaller
-         default sample. *)
-      repair_json ~sample:(opt "--sample" 8) ~seed ~jobs ()
-  | _ :: "analyze" :: _ -> analyze_json ~sample:(opt "--sample" 50) ~seed ()
-  | _ :: "load" :: _ ->
+         candidate screenings), so repair has its own, smaller default
+         sample. *)
+      repair ~sample:(opt "--sample" 8) ~seed ~jobs ()
+  | Some "analyze" -> analyze ~sample:(opt "--sample" 50) ~seed ()
+  | Some "load" ->
       (* The default sweep straddles the single-node service rate so the
          committed record shows all three admission regimes: under
          capacity, degraded admission, hard shedding. *)
       let rates =
         List.filter_map float_of_string_opt
-          (String.split_on_char ',' (str_opt "--rates" "500,2000,8000"))
+          (String.split_on_char ','
+             (Option.value ~default:"500,2000,8000"
+                (List.assoc_opt "--rates" opts)))
       in
       load_json ~rates
         ~requests:(opt "--requests" 200)
@@ -1268,9 +1078,9 @@ let () =
         ~watermark:(opt "--watermark" 8)
         ~shed_fuel:(opt "--shed-fuel" 20000)
         ~seed ()
-  | _ :: "compare" :: _ -> compare ()
-  | _ :: "ablation" :: _ -> ablation ~sample ~seed ()
-  | _ :: "scaling" :: _ -> scaling ()
+  | Some "compare" -> compare ()
+  | Some "ablation" -> ablation ~sample ~seed ()
+  | Some "scaling" -> scaling ()
   | _ ->
       table1 ~sample ~seed ~full:false ~explain:true ();
       micro ();
