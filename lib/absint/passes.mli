@@ -50,9 +50,6 @@ type bound =
 
 type cost = Known of int  (** polynomial degree *) | Unknown_cost
 
-val classify_loop : AI.result -> Ast.stmt -> bound
-(** Bound of one loop statement given its method's engine result. *)
-
 val method_cost : ?fuel:int -> Ast.meth -> cost * Ast.stmt option
 (** Degree of the deepest classified loop nest and its outermost
     degree-raising loop (the witness the efficiency diagnostic points

@@ -86,6 +86,8 @@ end
 (* ------------------------------------------------------------------ *)
 (* Normal completion (JLS §14.22 on the subset)                        *)
 
+(* Does the statement contain a [break] that binds to the enclosing loop,
+   one not nested inside an inner loop or [switch]? *)
 let rec breaks_out = function
   | Sbreak -> true
   | Sblock b -> List.exists breaks_out b

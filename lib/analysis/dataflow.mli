@@ -44,7 +44,3 @@ end
 
 val completes : Jfeed_java.Ast.stmt -> bool
 val seq_completes : Jfeed_java.Ast.stmt list -> bool
-
-val breaks_out : Jfeed_java.Ast.stmt -> bool
-(** Does the statement contain a [break] that binds to the *enclosing*
-    loop — i.e. one not nested inside an inner loop or [switch]? *)

@@ -24,8 +24,6 @@ val make :
   string ->
   t
 
-val string_of_severity : severity -> string
-
 val render : t -> string
 (** [method:line:col: severity [pass] message] — the position and method
     segments are elided when unknown. *)

@@ -8,10 +8,6 @@
 
 type rule = { name : string; rewrite : Jfeed_java.Ast.expr -> Jfeed_java.Ast.expr option }
 
-val error_model : rule list
-(** The classic intro-course mistakes from the paper: [i = 0 → i = 1],
-    [< → <=], [+= → *=], [++ → --], [>= → >]. *)
-
 type result = {
   repairs : int;  (** rules applied to reach equivalence *)
   applied : string list;  (** rule names — AutoGrader's "feedback" *)

@@ -66,11 +66,6 @@ val containment :
 
 val referenced_patterns : t -> string list
 
-val check :
-  t -> Jfeed_pdg.Epdg.t -> (string -> Matcher.embedding list) -> bool
-(** [check c epdg lookup] — [lookup p] returns the stored embeddings of
-    pattern [p] in [epdg] (Algorithm 2's m̄). *)
-
 val to_comment :
   t ->
   in_method:string ->

@@ -90,8 +90,6 @@ let render c =
     (string_of_verdict c.verdict)
     (String.concat "\n" (List.map (fun m -> "  - " ^ m) c.messages))
 
-let render_all comments = String.concat "\n" (List.map render comments)
-
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output (LMS integration)                           *)
 

@@ -18,8 +18,6 @@ val lambda : verdict -> float
 val score : comment list -> float
 (** Λ(B) — guides the best-effort choice among method combinations. *)
 
-val string_of_verdict : verdict -> string
-
 val of_pattern :
   in_method:string ->
   Pattern.t ->
@@ -33,8 +31,6 @@ val of_pattern :
 
 val render : comment -> string
 (** Human-readable rendering of one comment. *)
-
-val render_all : comment list -> string
 
 val comment_to_json : comment -> string
 

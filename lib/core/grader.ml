@@ -49,10 +49,6 @@ type result = {
           order; empty = the full search ran *)
 }
 
-let string_of_truncation = function
-  | Matcher_exhausted id -> "matcher:" ^ id
-  | Pairing_exhausted -> "pairing"
-
 let missing_comments (q : method_spec) =
   List.map
     (fun ((p : Pattern.t), _) ->

@@ -37,9 +37,6 @@ type truncation =
   | Pairing_exhausted
       (** the combination search stopped before trying every pairing *)
 
-val string_of_truncation : truncation -> string
-(** ["matcher:<pattern id>"] / ["pairing"]. *)
-
 type result = {
   comments : Feedback.comment list;
   score : float;  (** Λ of [comments] *)

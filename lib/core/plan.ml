@@ -17,17 +17,6 @@ type t = {
   vars_exact : string list array;  (* Template.vars of each exact template *)
 }
 
-let n_node_types = 6
-
-let int_of_node_type : Epdg.node_type -> int = function
-  | Epdg.Assign -> 0
-  | Epdg.Break -> 1
-  | Epdg.Call -> 2
-  | Epdg.Cond -> 3
-  | Epdg.Decl -> 4
-  | Epdg.Return -> 5
-
-let pattern t = t.pattern
 let template_vars t u = t.vars_exact.(u)
 
 let compile (p : Pattern.t) =
@@ -42,13 +31,13 @@ let compile (p : Pattern.t) =
   let degree = if n = 0 then [||] else Array.sub degree 0 n in
   let deg_desc = Array.copy degree in
   Array.sort (fun a b -> compare b a) deg_desc;
-  let type_need = Array.make n_node_types 0 in
+  let type_need = Array.make Epdg.n_node_types 0 in
   Array.iter
     (fun (pn : Pattern.pnode) ->
       match pn.Pattern.pn_type with
       | None -> ()
       | Some ty ->
-          let i = int_of_node_type ty in
+          let i = Epdg.int_of_node_type ty in
           type_need.(i) <- type_need.(i) + 1)
     p.Pattern.nodes;
   {

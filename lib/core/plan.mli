@@ -55,8 +55,6 @@ val of_pattern : Pattern.t -> t
     path); {!Jfeed_kb.Bundles} pre-compiles every shipped pattern at
     bundle load, so on the main domain this is a lookup. *)
 
-val pattern : t -> Pattern.t
-
 val template_vars : t -> int -> string list
 (** The exact template's variables for a pattern node, extracted once at
     compile time (the search used to recompute them at every extension

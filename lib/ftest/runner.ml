@@ -23,6 +23,8 @@ type verdict =
   | Pass
   | Fail of { case : string; reason : string }
 
+(* [?budget] is the shared grading fuel pool, spent by the interpreter
+   one unit per execution step. *)
 let run_case ?budget suite prog (c : case) =
   (* One [interp] span per executed test case; the reference runs that
      produce expected outputs trace the same way, nested under whatever

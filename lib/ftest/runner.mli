@@ -18,15 +18,6 @@ type suite = { entry : string; cases : case list; max_steps : int }
 
 type verdict = Pass | Fail of { case : string; reason : string }
 
-val run_case :
-  ?budget:Jfeed_budget.Budget.t ->
-  suite ->
-  Jfeed_java.Ast.program ->
-  case ->
-  Jfeed_interp.Interp.outcome
-(** [?budget] is the shared grading fuel pool, spent by the interpreter
-    one unit per execution step ({!Jfeed_interp.Interp.run}). *)
-
 val expected_outputs : suite -> Jfeed_java.Ast.program -> string list
 (** Outputs of the reference solution, one per case.  Raises
     [Invalid_argument] if the reference itself fails — a harness bug, not

@@ -54,9 +54,6 @@ val source_of_index : t -> int -> string
 val all_good : t -> int array -> bool
 (** Every choice point at a [Good] option. *)
 
-val chosen : t -> int array -> (string * string * quality) list
-(** (tag, label, quality) per choice point. *)
-
 val deviations : t -> int array -> (string * string * quality) list
 (** The non-[Good] options selected by this vector — used by the
     benchmark's discrepancy-cause breakdown. *)

@@ -118,9 +118,6 @@ let edges g =
 let fold_nodes g ~init ~f =
   List.fold_left (fun acc v -> f acc v g.labels.(v)) init (nodes g)
 
-let fold_edges g ~init ~f =
-  List.fold_left (fun acc (s, t, e) -> f acc s t e) init (edges g)
-
 let filter_nodes g ~f = List.filter (fun v -> f v g.labels.(v)) (nodes g)
 
 let reachable g root =

@@ -30,8 +30,6 @@ val label : ('n, 'e) t -> node -> 'n
 
 val set_label : ('n, 'e) t -> node -> 'n -> unit
 
-val mem_node : ('n, 'e) t -> node -> bool
-
 val mem_edge : ('n, 'e) t -> node -> node -> 'e -> bool
 (** Labelled-edge membership.  O(1): backed by a hash set maintained at
     insertion, not a scan of the adjacency list — this is the matcher's
@@ -59,9 +57,6 @@ val edges : ('n, 'e) t -> (node * node * 'e) list
 
 val fold_nodes : ('n, 'e) t -> init:'a -> f:('a -> node -> 'n -> 'a) -> 'a
 
-val fold_edges :
-  ('n, 'e) t -> init:'a -> f:('a -> node -> node -> 'e -> 'a) -> 'a
-
 val filter_nodes : ('n, 'e) t -> f:(node -> 'n -> bool) -> node list
 
 val reachable : ('n, 'e) t -> node -> node list
@@ -85,11 +80,6 @@ type dot_attr =
   | Shape of string
   | Style of string
   | Raw of string
-
-val dot_escape : string -> string
-(** Escape a string for use inside a double-quoted DOT attribute value:
-    double quotes and backslashes gain a backslash, raw newlines and
-    carriage returns become backslash-n / backslash-r. *)
 
 val to_dot :
   ('n, 'e) t ->

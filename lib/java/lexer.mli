@@ -17,8 +17,6 @@ type located = { tok : token; line : int; col : int }
 exception Lex_error of string * int * int
 (** message, line, column (1-based) *)
 
-val is_keyword : string -> bool
-
 val tokenize : string -> located list
 (** Tokenize a whole source string; the result always ends with [Eof].
     Raises {!Lex_error} on malformed input. *)

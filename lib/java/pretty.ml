@@ -20,6 +20,7 @@ let escape_char = function
 let string_literal s =
   "\"" ^ String.concat "" (List.map escape_char (List.init (String.length s) (String.get s))) ^ "\""
 
+(* Java-style: integral doubles render with a trailing [.0]. *)
 let double_literal f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else

@@ -15,9 +15,3 @@ val meth : ?indent:int -> Ast.meth -> string
 
 val program : Ast.program -> string
 (** All methods, blank-line separated. *)
-
-val string_literal : string -> string
-(** Quoted and escaped. *)
-
-val double_literal : float -> string
-(** Java-style: integral doubles render with a trailing [.0]. *)

@@ -16,17 +16,9 @@ val constraints : t -> Jfeed_core.Constr.t list
 (** All constraints across the expected methods — column C. *)
 
 val assignment1 : t
-val esc_p1v1 : t
-val esc_p2v1 : t
 val esc_p2v2 : t
-val esc_p3v1 : t
-val esc_p4v1 : t
-val esc_p3v2 : t
-val esc_p4v2 : t
 val mitx_derivatives : t
 val mitx_polynomials : t
-val rit_gold : t
-val rit_ath : t
 
 val all : t list
 (** The twelve assignments, in Table I order. *)

@@ -16,8 +16,5 @@ val assignment1_single_loop : t
 (** Both parity accesses must sit under the same loop and index — the
     paper's "only one single loop in our Assignment 1". *)
 
-val search_canonical_lookahead : assignment:string -> driver:string -> t
-(** The search loop must test [helper(n + 1) <= k] literally. *)
-
 val all : t list
 val find : string -> t option

@@ -36,7 +36,7 @@ type t = {
           under parallel batch grading) *)
   by_type : Jfeed_graph.Digraph.node list array;
       (** node-type index, built once at construction — the matcher's
-          candidate sets Φ.  Indexed by the internal type ordinal; read it
+          candidate sets Φ.  Indexed by {!int_of_node_type}; read it
           through {!nodes_of_type}.  Invariant: for every type [ty],
           [nodes_of_type t ty] equals
           [Digraph.filter_nodes t.graph ~f:(fun _ i -> i.n_type = ty)],
@@ -49,6 +49,13 @@ type t = {
       (** every node's total (in + out) degree, sorted descending — the
           graph side of {!Jfeed_core.Plan}'s fingerprint prefilter. *)
 }
+
+val n_node_types : int
+
+val int_of_node_type : node_type -> int
+(** The type ordinal, in [0, n_node_types): the index of {!t.by_type}
+    and {!t.type_counts}, and of {!Jfeed_core.Plan}'s per-type pattern
+    needs, which its prefilter compares against [type_counts]. *)
 
 val string_of_node_type : node_type -> string
 val string_of_edge_type : edge_type -> string

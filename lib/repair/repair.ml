@@ -34,6 +34,10 @@ type outcome = {
 }
 
 let default_fuel = 10_000_000
+
+(* Per-candidate screening cap: one pathological candidate (e.g. an edit
+   that makes a loop infinite) burns at most this much of the repair
+   budget before it is disqualified. *)
 let candidate_fuel = 200_000
 
 (* How many candidates each Pool.map round screens.  A fixed constant —

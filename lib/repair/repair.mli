@@ -64,11 +64,6 @@ type outcome = {
 val default_fuel : int
 (** Default repair fuel (interpreter steps across all screenings). *)
 
-val candidate_fuel : int
-(** Per-candidate screening cap: one pathological candidate (e.g. an
-    edit that makes a loop infinite) burns at most this much of the
-    repair budget before it is disqualified. *)
-
 val search :
   ?fuel:int ->
   ?deadline_s:float ->

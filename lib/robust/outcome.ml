@@ -12,6 +12,8 @@ type reason =
   | Crash_recovered of string
   | Tests_skipped of string
 
+(* Compact slug, prefixed by the stage: "matcher:p_loop", "pairing",
+   "interp", "skipped:<method>", "crash", "tests". *)
 let string_of_reason = function
   | Matcher_exhausted id -> "matcher:" ^ id
   | Pairing_exhausted -> "pairing"
@@ -19,18 +21,6 @@ let string_of_reason = function
   | Method_skipped (m, _) -> "skipped:" ^ m
   | Crash_recovered _ -> "crash"
   | Tests_skipped _ -> "tests"
-
-let describe_reason = function
-  | Matcher_exhausted id ->
-      Printf.sprintf "embedding search for pattern %s was cut short" id
-  | Pairing_exhausted ->
-      "method-pairing search stopped before trying every combination"
-  | Interp_exhausted -> "functional tests ran out of fuel"
-  | Method_skipped (m, e) ->
-      Printf.sprintf "method %s could not be graded (%s)" m e
-  | Crash_recovered e ->
-      Printf.sprintf "full grading crashed (%s); per-method fallback used" e
-  | Tests_skipped e -> Printf.sprintf "functional tests skipped (%s)" e
 
 let stage_of_reason = function
   | Matcher_exhausted _ -> "matcher"

@@ -34,14 +34,6 @@ type reason =
       (** the functional-test stage could not run (e.g. the reference
           solution failed); pattern feedback stands, column T is absent *)
 
-val string_of_reason : reason -> string
-(** Compact slug, prefixed by the stage: ["matcher:p_loop"],
-    ["pairing"], ["interp"], ["skipped:<method>"], ["crash"],
-    ["tests"]. *)
-
-val describe_reason : reason -> string
-(** Human-readable sentence. *)
-
 val stage_of_reason : reason -> string
 (** ["matcher"] / ["pairing"] / ["interp"] / ["ladder"] / ["tests"]. *)
 

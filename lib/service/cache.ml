@@ -22,7 +22,6 @@ let create ~cap =
   { tbl = Hashtbl.create (max 16 (min cap 4096)); capacity = cap;
     head = None; tail = None }
 
-let cap t = t.capacity
 let size t = Hashtbl.length t.tbl
 
 let unlink t n =

@@ -15,7 +15,6 @@ val create : cap:int -> 'v t
     always misses — [--cache-cap 0] turns caching off without a second
     code path. *)
 
-val cap : 'v t -> int
 val size : 'v t -> int
 
 val find : 'v t -> string -> 'v option

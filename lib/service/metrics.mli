@@ -15,16 +15,8 @@ type t
 
 val create : unit -> t
 
-val reservoir_cap : int
-(** Latency samples kept (4096). *)
-
 val slowlog_cap : int
 (** Slowlog entries kept (10). *)
-
-val latency_buckets : float array
-(** The latency histogram's upper bounds (ms), strictly increasing.
-    Frozen: the exposition's [le] label set is cram-pinned, and
-    Prometheus semantics forbid per-scrape bucket changes. *)
 
 (** {2 Recording} *)
 

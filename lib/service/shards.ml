@@ -5,7 +5,6 @@ type 'v t = {
   locks : Mutex.t array;
   hits : int array;
   misses : int array;
-  total_cap : int;
 }
 
 let create ~shards ~cap =
@@ -18,11 +17,7 @@ let create ~shards ~cap =
     locks = Array.init n (fun _ -> Mutex.create ());
     hits = Array.make n 0;
     misses = Array.make n 0;
-    total_cap = cap;
   }
-
-let shard_count t = Array.length t.caches
-let cap t = t.total_cap
 
 let shard_of_key t key =
   (* Hashtbl.hash is deterministic over string bytes (seeded MurmurHash),

@@ -26,13 +26,8 @@ val create : shards:int -> cap:int -> 'v t
 (** [shards] is clamped to at least 1; [cap <= 0] builds a disabled
     cache, like {!Cache.create}. *)
 
-val shard_count : 'v t -> int
-val cap : 'v t -> int
 val size : 'v t -> int
 (** Total entries across shards. *)
-
-val shard_of_key : 'v t -> string -> int
-(** The shard a key routes to: deterministic in the key bytes. *)
 
 val find : 'v t -> string -> 'v option
 (** Lookup under the key's shard lock; a hit becomes most recently used

@@ -60,9 +60,6 @@ val compactions : t -> int
 val recovery : t -> recovery
 (** The boot-time replay outcome, for the metrics surface. *)
 
-val sync : t -> unit
-(** [fsync(2)] the log. *)
-
 val compact : t -> (string * string) list -> unit
 (** Atomically replace the log with exactly the given entries (written
     in list order, so the reload order — and hence reload recency — is

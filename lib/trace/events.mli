@@ -55,10 +55,6 @@ val dropped : t -> int
 val rotations : t -> int
 (** Completed file rotations since [create]. *)
 
-val render : ts_ns:int64 -> rid:string -> ev:string -> (string * value) list -> string
-(** The line format, exposed for tests: body + checksum suffix, no
-    trailing newline. *)
-
 val checksum_ok : string -> bool
 (** Whether a line's trailing [,"ck":"…"}] verifies against its body. *)
 

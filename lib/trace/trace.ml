@@ -40,6 +40,8 @@ let create () =
 
 let enabled = function Disabled -> false | Enabled _ -> true
 
+(* Reset an enabled collector to the empty state with a fresh zero point,
+   so one buffer is reused across requests without reallocating. *)
 let clear = function
   | Disabled -> ()
   | Enabled b ->

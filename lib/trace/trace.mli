@@ -40,14 +40,8 @@ val create : unit -> t
 
 val enabled : t -> bool
 
-val clear : t -> unit
-(** Reset an enabled collector to the empty state with a fresh zero
-    point, so one buffer can be reused across requests without
-    reallocating (tail-based sampling traces every request into a
-    recycled buffer).  No-op on {!disabled}. *)
-
 val scratch : unit -> t
-(** This domain's reusable tracer, {!clear}ed and ready to record.
+(** This domain's reusable tracer, reset and ready to record.
     One per domain in [Domain.DLS]; the caller must serialize anything
     it wants to keep before the next [scratch] call on this domain
     recycles the buffer. *)
@@ -79,8 +73,6 @@ val count : t -> string -> int -> unit
 
 val current : unit -> t
 (** This domain's ambient trace; {!disabled} unless installed. *)
-
-val set_current : t -> unit
 
 val with_current : t -> (unit -> 'a) -> 'a
 (** Install for the dynamic extent of the callback, restoring the
