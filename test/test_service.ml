@@ -695,6 +695,22 @@ let test_durable_replay_across_restarts () =
 (* ------------------------------------------------------------------ *)
 (* The concurrent socket daemon: interleaved clients *)
 
+(* Connect to a daemon started in another domain.  Its socket file
+   appears at bind(2), a moment before listen(2), and a connect in that
+   window is refused, so retry until the daemon accepts. *)
+let connect_daemon path =
+  let rec go n =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when n > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.02;
+        go (n - 1)
+  in
+  go 250
+
 let test_socket_two_clients () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -703,17 +719,8 @@ let test_socket_two_clients () =
   let server =
     Domain.spawn (fun () -> Server.serve_socket Server.default_config path)
   in
-  let rec wait n =
-    if n = 0 then Alcotest.fail "daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.02;
-      wait (n - 1)
-    end
-  in
-  wait 250;
   let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
+    let fd = connect_daemon path in
     (fd, Unix.in_channel_of_descr fd)
   in
   let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
@@ -768,16 +775,7 @@ let test_socket_admission_sheds () =
   in
   let config = { Server.default_config with queue_cap = 1 } in
   let server = Domain.spawn (fun () -> Server.serve_socket config path) in
-  let rec wait n =
-    if n = 0 then Alcotest.fail "daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.02;
-      wait (n - 1)
-    end
-  in
-  wait 250;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
+  let fd = connect_daemon path in
   let ic = Unix.in_channel_of_descr fd in
   let n = 8 in
   let burst =
@@ -972,17 +970,8 @@ let test_socket_events_interleaved () =
     }
   in
   let server = Domain.spawn (fun () -> Server.serve_socket config path) in
-  let rec wait n =
-    if n = 0 then Alcotest.fail "daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.02;
-      wait (n - 1)
-    end
-  in
-  wait 250;
   let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
+    let fd = connect_daemon path in
     (fd, Unix.in_channel_of_descr fd)
   in
   let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
