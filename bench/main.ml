@@ -18,8 +18,9 @@
     - [load] — the open-loop overload sweep, written to BENCH_load.json.
 
     Running with no arguments executes table1, micro, compare, ablation
-    and scaling with default sizes.  An unknown subcommand or option is
-    a usage error (exit 2). *)
+    and scaling with default sizes.  An unknown subcommand or option, a
+    non-integer value or a [--rates] entry that is not a positive
+    number is a usage error (exit 2). *)
 
 open Jfeed_kb
 open Jfeed_core
@@ -1064,7 +1065,11 @@ let () =
          committed record shows all three admission regimes: under
          capacity, degraded admission, hard shedding. *)
       let rates =
-        List.filter_map float_of_string_opt
+        List.map
+          (fun r ->
+            match float_of_string_opt r with
+            | Some x when Float.is_finite x && x > 0. -> x
+            | _ -> usage "--rates expects positive numbers, got %S" r)
           (String.split_on_char ','
              (Option.value ~default:"500,2000,8000"
                 (List.assoc_opt "--rates" opts)))

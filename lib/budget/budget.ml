@@ -42,13 +42,19 @@ let record_hit b stage =
   if not (List.mem stage b.hit_list) then b.hit_list <- stage :: b.hit_list
 
 (* Polling the clock on every interpreter step would dominate the step
-   itself; the deadline only needs ~ms resolution, so poll every 1024
-   spends. *)
-let poll_mask = 1023
+   itself; the deadline only needs ~ms resolution, so a spend polls when
+   it reaches or crosses a multiple of 1024 units: every 1024 single-unit
+   spends, and at most once for a bulk spend.  A spend of 0 polls when
+   the total sits on a multiple. *)
+let poll_every = 1024
 
-let over_deadline b =
+let polls b n =
+  if n <= 1 then b.used mod poll_every = 0
+  else (b.used - n) / poll_every < b.used / poll_every
+
+let over_deadline b n =
   match b.deadline with
-  | Some d when b.used land poll_mask = 0 -> Sys.time () > d
+  | Some d when polls b n -> Sys.time () > d
   | _ -> false
 
 let spend b stage n =
@@ -63,7 +69,7 @@ let spend b stage n =
     let out_of_fuel =
       match b.fuel with Some f -> b.used > f | None -> false
     in
-    if out_of_fuel || over_deadline b then begin
+    if out_of_fuel || over_deadline b n then begin
       b.dead <- true;
       record_hit b stage;
       false

@@ -33,7 +33,10 @@ val spend : t -> stage -> int -> bool
 (** [spend b stage n] burns [n] units; [false] when the budget is (or
     just became) exhausted, in which case [stage] is recorded as a hit.
     Callers must stop the work of [stage] when [spend] returns [false].
-    The deadline is polled at most once every 1024 spends. *)
+    The deadline is polled when the total spent reaches or crosses a
+    multiple of 1024 units: once every 1024 single-unit spends, and at
+    most once for a spend of more than one unit (a bulk spend that
+    crosses no multiple does not poll). *)
 
 val check : t -> stage -> bool
 (** Like {!spend} with [n = 0]: test (and record) exhaustion without

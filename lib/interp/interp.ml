@@ -13,6 +13,7 @@
 
 open Jfeed_java
 open Value
+module Budget = Jfeed_budget.Budget
 
 exception Runtime_error of string
 exception Step_limit
@@ -39,7 +40,7 @@ type outcome = {
 
 type ctx = {
   config : config;
-  budget : Jfeed_budget.Budget.t option;
+  budget : Budget.t option;
       (** shared grading fuel pool; unlike [config.max_steps] (per run)
           it is spent across runs, unifying the interpreter's step
           budget with the matcher's and the pairing search's *)
@@ -61,9 +62,7 @@ let tick ctx =
   ctx.steps <- ctx.steps + 1;
   if ctx.steps > ctx.config.max_steps then raise Step_limit;
   match ctx.budget with
-  | Some b
-    when not (Jfeed_budget.Budget.spend b Jfeed_budget.Budget.Interp 1) ->
-      raise Fuel_exhausted
+  | Some b when not (Budget.spend b Budget.Interp 1) -> raise Fuel_exhausted
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -339,6 +338,206 @@ let compile_snapshot chain : frame -> (string * string) list =
         let s = bound fr slots 0 in
         if s < 0 then None else Some (x, cheap fr.(s)))
       visible
+
+(* ------------------------------------------------------------------ *)
+(* Exact loop acceleration                                             *)
+
+(* A loop whose straight-line int body moves its counter away from a
+   loop-invariant bound keeps its guard true until the counter would
+   wrap past the int range.  When the state at the loop start shows that
+   the step limit or the fuel stops the run before that, the loop's
+   remaining steps are charged in one spend and the error the loop
+   would raise is raised at the step count it would reach: exact loop
+   acceleration, limited to the case whose result is known without
+   running it.  The body prints nothing, so stdout cannot tell, and no
+   other variable is observable after the failure. *)
+type endless = {
+  counter : string;
+  step : int;  (** the counter's change per iteration, away from [limit] *)
+  op : Ast.binop;  (** the guard is [counter op limit] *)
+  limit : Ast.expr;  (** over names the loop never writes *)
+  touched : string list;  (** every name of an enclosing scope the loop touches *)
+  ticks : int;  (** steps per iteration *)
+}
+
+(* Names of a pure int expression: literals, names, [+ - *] and unary
+   minus; anything else is not pure. *)
+let rec pure_names (e : Ast.expr) =
+  match e with
+  | Ast.Int_lit _ -> Some []
+  | Ast.Var x -> Some [ x ]
+  | Ast.Unary (Ast.Neg, e) -> pure_names e
+  | Ast.Binary ((Ast.Add | Ast.Sub | Ast.Mul), a, b) -> (
+      match (pure_names a, pure_names b) with
+      | Some xs, Some ys -> Some (xs @ ys)
+      | _ -> None)
+  | _ -> None
+
+(* An int literal, possibly negated, as the interpreter reads it. *)
+let const_int (e : Ast.expr) =
+  match e with
+  | Ast.Int_lit n -> Some (wrap32 n)
+  | Ast.Unary (Ast.Neg, Ast.Int_lit n) -> Some (wrap32 (-wrap32 n))
+  | _ -> None
+
+(* The change a write [e] makes to [x] when it adds a constant, unwrapped:
+   [x -= k] steps by [-k] even when [k] is the least int. *)
+let const_step x (e : Ast.expr) =
+  match e with
+  | Ast.Incdec ((Ast.Pre_incr | Ast.Post_incr), _) -> Some 1
+  | Ast.Incdec ((Ast.Pre_decr | Ast.Post_decr), _) -> Some (-1)
+  | Ast.Assign (Ast.Add_eq, _, k) -> const_int k
+  | Ast.Assign (Ast.Sub_eq, _, k) -> Option.map Int.neg (const_int k)
+  | Ast.Assign (Ast.Set, _, Ast.Binary (Ast.Add, Ast.Var y, k)) when y = x ->
+      const_int k
+  | Ast.Assign (Ast.Set, _, Ast.Binary (Ast.Sub, Ast.Var y, k)) when y = x ->
+      Option.map Int.neg (const_int k)
+  | _ -> None
+
+let flip = function
+  | Ast.Lt -> Ast.Gt
+  | Ast.Le -> Ast.Ge
+  | Ast.Gt -> Ast.Lt
+  | Ast.Ge -> Ast.Le
+  | op -> op
+
+(* The compile-time half.  [guard] compares a counter with a pure int
+   bound over names the loop never writes.  One iteration ([body], then
+   [update]) runs only empty statements, [int] declarations and int
+   writes to names ([x = e], [x += e], [x -= e], [x *= e], [x++] ...),
+   and writes the counter once, by a constant that moves it away from
+   the bound.  [chain] is the scope chain of the guard and the update;
+   the body's own declarations shadow none of its names and run before
+   any use in the iteration, and every name resolves to a slot. *)
+let endless_loop chain (guard : Ast.expr) (body : Ast.stmt) update =
+  let outer x = candidates chain x <> [] in
+  let names e = match pure_names e with Some xs -> xs | None -> raise Exit in
+  (* An int write: its target and every name it touches. *)
+  let write (e : Ast.expr) =
+    match e with
+    | Ast.Assign
+        ((Ast.Set | Ast.Add_eq | Ast.Sub_eq | Ast.Mul_eq), Ast.Var x, rhs) ->
+        (x, x :: names rhs)
+    | Ast.Incdec (_, Ast.Var x) -> (x, [ x ])
+    | _ -> raise Exit
+  in
+  (* One tick for the iteration, one per statement, one for a block. *)
+  let stmts, ticks =
+    match body with
+    | Ast.Sblock stmts -> (stmts, 2 + List.length stmts)
+    | s -> ([ s ], 2)
+  in
+  try
+    let op, a, b =
+      match guard with
+      | Ast.Binary (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), a, b) ->
+          (op, a, b)
+      | _ -> raise Exit
+    in
+    let touched = ref (names a @ names b) in
+    if (not (List.for_all outer !touched)) || List.exists outer (declared stmts)
+    then raise Exit;
+    let bound_so_far = ref [] and writes = ref [] in
+    let use visible xs =
+      if not (List.for_all visible xs) then raise Exit;
+      touched := List.filter outer xs @ !touched
+    in
+    let in_body x = outer x || List.mem x !bound_so_far in
+    List.iter
+      (function
+        | Ast.Sempty -> ()
+        | Ast.Sdecl ds ->
+            List.iter
+              (fun (d : Ast.var_decl) ->
+                if d.Ast.d_type <> Ast.Tprim "int" then raise Exit;
+                Option.iter (fun e -> use in_body (names e)) d.Ast.d_init;
+                bound_so_far := d.Ast.d_name :: !bound_so_far)
+              ds
+        | Ast.Sexpr e ->
+            let x, xs = write e in
+            use in_body xs;
+            writes := (x, e) :: !writes
+        | _ -> raise Exit)
+      stmts;
+    List.iter
+      (fun e ->
+        let x, xs = write e in
+        use outer xs;
+        writes := (x, e) :: !writes)
+      update;
+    let written x = List.mem_assoc x !writes in
+    let found counter op limit =
+      let step =
+        match List.filter (fun (x, _) -> x = counter) !writes with
+        | [ (_, e) ] when not (List.exists written (names limit)) -> (
+            match (const_step counter e, op) with
+            | Some s, (Ast.Lt | Ast.Le) when s < 0 -> Some s
+            | Some s, (Ast.Gt | Ast.Ge) when s > 0 -> Some s
+            | _ -> None)
+        | _ -> None
+      in
+      Option.map
+        (fun step ->
+          let touched = List.sort_uniq compare !touched in
+          { counter; step; op; limit; touched; ticks })
+        step
+    in
+    let flipped () =
+      match b with Ast.Var i -> found i (flip op) a | _ -> None
+    in
+    match a with
+    | Ast.Var i -> ( match found i op b with None -> flipped () | p -> p)
+    | _ -> flipped ()
+  with Exit -> None
+
+(* The run-time half, once per loop start: when every name the loop
+   touches is bound to an int, the guard holds, and the failing tick
+   comes before the counter would wrap, charge the steps up to it and
+   raise its error.  Otherwise return, and the loop runs. *)
+let accelerate ctx chain p (limit : frame -> Value.t) : frame -> unit =
+  let slots x = Array.of_list (candidates chain x) in
+  let counter = slots p.counter and touched = List.map slots p.touched in
+  let is_int fr slots =
+    let s = bound fr slots 0 in
+    s >= 0 && match fr.(s) with Vint _ -> true | _ -> false
+  in
+  let holds i b =
+    match p.op with
+    | Ast.Lt -> i < b
+    | Ast.Le -> i <= b
+    | Ast.Gt -> i > b
+    | _ -> i >= b
+  in
+  fun fr ->
+    (* The budget is live: the loop statement's own tick has just
+       spent. *)
+    if List.for_all (is_int fr) touched then begin
+      let i = as_int fr.(bound fr counter 0) in
+      (* The guard holds in every iteration whose counter is unwrapped. *)
+      let iterations =
+        if p.step < 0 then ((i + 0x8000_0000) / -p.step) + 1
+        else ((0x7FFF_FFFF - i) / p.step) + 1
+      in
+      let steps_left = ctx.config.max_steps - ctx.steps in
+      (* The failing tick, counted from the loop start, and the fuel
+         spent up to it.  The step limit wins a tie, because [tick]
+         checks it before it spends. *)
+      let fails_at, error, charge =
+        match Option.bind ctx.budget Budget.remaining with
+        | Some f when f < steps_left -> (f + 1, Fuel_exhausted, f + 1)
+        | _ -> (steps_left + 1, Step_limit, steps_left)
+      in
+      if holds i (as_int (limit fr)) && fails_at <= iterations * p.ticks then
+        match ctx.budget with
+        | Some b when charge > 0 && not (Budget.spend b Budget.Interp charge)
+          ->
+            (* The fuel ran out, or the spend polled a passed deadline. *)
+            ctx.steps <- ctx.steps + charge;
+            raise Fuel_exhausted
+        | _ ->
+            ctx.steps <- ctx.steps + fails_at;
+            raise error
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -692,8 +891,10 @@ and compile_inner cm chain (s : Ast.stmt) : frame -> unit =
       let c = expr c and then_ = scoped then_ and else_ = scoped else_ in
       fun fr -> if as_bool (c fr) then then_ fr else else_ fr
   | Ast.Swhile (c, body) ->
+      let endless = compile_endless cm chain c body [] in
       let c = expr c and body = scoped body in
       fun fr ->
+        endless fr;
         (try
            while as_bool (c fr) do
              tick ctx;
@@ -729,10 +930,16 @@ and compile_inner cm chain (s : Ast.stmt) : frame -> unit =
             let c = expr c in
             fun fr -> as_bool (c fr)
       in
+      let endless =
+        match cond with
+        | Some c -> compile_endless cm chain c body update
+        | None -> ignore
+      in
       let update = effects (List.map expr update) in
       let body = compile_scoped cm chain body in
       enter_scope sc (fun fr ->
           init fr;
+          endless fr;
           try
             while check fr do
               tick ctx;
@@ -783,6 +990,16 @@ and compile_inner cm chain (s : Ast.stmt) : frame -> unit =
   | Ast.Sreturn (Some e) ->
       let e = expr e in
       fun fr -> raise (Return_exc (e fr))
+
+(* A loop's acceleration check ({!accelerate}), or [ignore] when the
+   loop does not qualify or the run is traced: snapshots need every
+   step. *)
+and compile_endless cm chain guard body update =
+  if cm.ctx.traced then ignore
+  else
+    match endless_loop chain guard body update with
+    | Some p -> accelerate cm.ctx chain p (compile_expr cm chain p.limit)
+    | None -> ignore
 
 (* Loop and branch bodies get a scope of their own; a block brings one. *)
 and compile_scoped cm chain (s : Ast.stmt) =

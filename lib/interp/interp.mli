@@ -17,6 +17,17 @@
     and arguments are evaluated).  Each step also spends one unit of
     {!Jfeed_budget.Budget.Interp} fuel when a budget is given.
 
+    Endless counter loops are charged in bulk.  Take a [while] or [for]
+    loop whose straight-line [int] body moves its counter by a constant
+    away from a loop-invariant bound, for example
+    [for (int i = 1; i <= n; i--) f *= i;].  When the state at its start
+    shows that the step limit or the fuel stops the run before the
+    counter could wrap, {!run} charges the remaining steps in one
+    budget spend.  It then reports the error the loop would reach, at
+    the same step count with the same fuel spent.  The body prints
+    nothing, so stdout is unchanged.  {!run_traced} runs every step,
+    because it snapshots each one.
+
     Semantics notes:
     - [int] arithmetic wraps at 32 bits like the JVM ({!Value.wrap32});
     - [==] on strings is reference equality (use [.equals]);

@@ -802,14 +802,19 @@ let serve_socket config path =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock sock;
   let conns = ref [] in
+  (* The socket is bound under a temporary name beside [path] and renamed
+     into place once it listens, so a client that sees [path] can
+     connect. *)
+  let tmp = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
   let cleanup () =
     List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) !conns;
     (try Unix.close sock with _ -> ());
-    try Sys.remove path with _ -> ()
+    List.iter (fun p -> try Sys.remove p with _ -> ()) [ tmp; path ]
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.bind sock (Unix.ADDR_UNIX tmp);
   Unix.listen sock config.backlog;
+  Unix.rename tmp path;
   let pending : cell Queue.t = Queue.create () in
   let handle_line c line =
     match decode st line with

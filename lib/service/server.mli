@@ -137,7 +137,9 @@ val serve_socket : config -> string -> unit
     connection n+1 hits the results connection n computed.  The
     durable store and the event log open before the socket is bound,
     so a refused start (a locked cache directory, say) touches no
-    socket file.  A [shutdown] request or SIGINT/SIGTERM stops the
+    socket file.  The socket is bound under a temporary name beside
+    the path and renamed onto it once it listens: a client that finds
+    the path can connect.  A [shutdown] request or SIGINT/SIGTERM stops the
     daemon gracefully: admitted work finishes, output drains, the
     durable store is compacted and fsynced.  A client hangup only ends
     its connection. *)

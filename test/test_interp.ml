@@ -292,6 +292,193 @@ let test_stray_jumps () =
     (o.Interp.stdout, o.Interp.error)
 
 (* ------------------------------------------------------------------ *)
+(* Exact loop acceleration                                             *)
+
+module Budget = Jfeed_budget.Budget
+
+(* Everything observable about a run: the outcome's fields, then the
+   budget's per-stage spend and hits.  [run_traced] never accelerates,
+   so it is the reference for [run]. *)
+let observe ?fuel ?(exhaust = false) ~traced ~config prog ~entry ~args =
+  let budget =
+    if exhaust then begin
+      (* Exhausted by a deadline that passed before the run: no fuel
+         axis tells. *)
+      let b = Budget.create ~deadline_s:(-1.0) () in
+      ignore (Budget.check b Budget.Matcher);
+      Some b
+    end
+    else Option.map (fun fuel -> Budget.create ~fuel ()) fuel
+  in
+  let o =
+    if traced then fst (Interp.run_traced ?budget ~config prog ~entry ~args)
+    else Interp.run ?budget ~config prog ~entry ~args
+  in
+  let spend =
+    match budget with
+    | None -> []
+    | Some b ->
+        List.map (fun (s, n) -> Printf.sprintf "%s=%d" s n) (Budget.spent_by b)
+        @ List.map Budget.string_of_stage (Budget.hits b)
+  in
+  [ o.Interp.stdout; Option.value o.error ~default:"-"; string_of_int o.steps;
+    (match o.result with Some v -> Value.to_display v | None -> "-") ]
+  @ spend
+
+(* [run] agrees with [run_traced]; returns the observation. *)
+let same_as_slow ?fuel ?exhaust ?(max_steps = 100) ?(entry = "f") ?(args = [])
+    label src =
+  let prog = Jfeed_java.Parser.parse_program src in
+  let config = { Interp.files = []; max_steps } in
+  let slow = observe ?fuel ?exhaust ~traced:true ~config prog ~entry ~args in
+  Alcotest.(check (list string)) label slow
+    (observe ?fuel ?exhaust ~traced:false ~config prog ~entry ~args);
+  slow
+
+let error_of obs = List.nth obs 1
+let steps_of obs = int_of_string (List.nth obs 2)
+
+let test_acceleration_cases () =
+  let limit label src =
+    Alcotest.(check string) label "step limit exceeded" (error_of (same_as_slow label src))
+  in
+  limit "for, i--" "void f() { int p = 1; for (int i = 1; i <= 5; i--) p *= i; }";
+  limit "while, block body"
+    "void f() { int i = 1; int p = 1; while (i <= 5) { p = p * i; int t = p + i; i--; } }";
+  limit "+= k" "void f() { for (int i = 0; i >= 0; i += 3) { } }";
+  limit "-= k, empty statement" "void f() { int i = 7; while (i < 10) { i -= 7; ; } }";
+  limit "i = i + k, counter read in the body"
+    "void f() { int s = 0; for (int i = 9; i > 8; i = i + 2) s += i; }";
+  limit "flipped guard" "void f() { int x = 5; int i = 1; while (x >= i) { i--; } }";
+  limit "bound over invariant names"
+    "void f() { int a = 2; int b = 3; int i = 0; while (i < a * b - 1) { i--; } }";
+  (* The counter would wrap within the step limit: the loop ends. *)
+  Alcotest.(check string)
+    "counter near Integer.MIN_VALUE" "2147483647\n"
+    (List.hd
+       (same_as_slow "near MIN_VALUE"
+          "void f() { int i = -2147483647; while (i <= 0) { i -= 2; } System.out.println(i); }"));
+  Alcotest.(check string)
+    "unbound name read in the body" "variable y is not defined"
+    (error_of
+       (same_as_slow "unbound"
+          "void f() { int x = 0; int i = 0; while (i >= 0) { i++; x = y; } int y = 0; }"));
+  Alcotest.(check string)
+    "body name used before its declaration" "variable t is not defined"
+    (error_of
+       (same_as_slow "use before declaration"
+          "void f() { int i = 0; while (i >= 0) { t = i; int t = 1; i++; } }"));
+  Alcotest.(check string)
+    "initialiser reads a later declaration" "variable v is not defined"
+    (error_of
+       (same_as_slow "initialiser before declaration"
+          "void f() { int i = 0; while (i >= 0) { int u = v + 1; int v = 2; i++; } }"));
+  Alcotest.(check string)
+    "update names a body declaration" "variable t is not defined"
+    (error_of
+       (same_as_slow "update scope"
+          "void f() { for (int i = 0; i >= 0; t++) { int t = 0; i++; } }"));
+  limit "shadowing declaration"
+    "void f() { int t = 5; int i = 0; while (i >= 0) { int t = i; i++; } }";
+  Alcotest.(check string)
+    "a String in the body" "expected a number, found String"
+    (error_of
+       (same_as_slow "String"
+          {|void f() { String s = "a"; int i = 0; while (i >= 0) { i++; s = s * 2; } }|}));
+  Alcotest.(check string)
+    "a String declared in the body" "expected a number, found null"
+    (error_of
+       (same_as_slow "String declaration"
+          "void f() { int i = 0; while (i >= 0) { String s; s = s + 1; i++; } }"));
+  Alcotest.(check string)
+    "counter written more than once" "-"
+    (error_of
+       (same_as_slow "written more than once"
+          "void f() { int i = 0; while (i >= 0) { i++; i -= 3; i++; } }"));
+  Alcotest.(check string)
+    "bound written in the body" "-"
+    (error_of
+       (same_as_slow "bound written"
+          "void f() { int n = 5; int i = 0; while (i < n) { i--; n = n - 2; } }"))
+
+(* Loops whose counter wraps one iteration before the step limit: 49
+   iterations of 2 ticks (a [for] over an empty statement) or 3 ticks (a
+   block of one statement) use every step but the failing one, so each
+   loop ends and its method returns normally. *)
+let test_acceleration_wrap () =
+  let ends label ~max_steps src =
+    let obs = same_as_slow ~max_steps label src in
+    Alcotest.(check (pair string int)) label ("-", max_steps)
+      (error_of obs, steps_of obs)
+  in
+  ends "upward for" ~max_steps:100
+    "void f() { for (int i = 2147483599; i >= 0; i++) ; }";
+  ends "downward for" ~max_steps:100
+    "void f() { for (int i = -2147483600; i < 0; i--) ; }";
+  ends "upward while" ~max_steps:149
+    "void f() { int i = 2147483599; while (i >= 0) { i++; } }";
+  ends "downward while" ~max_steps:149
+    "void f() { int i = -2147483600; while (i < 0) { i--; } }"
+
+(* The step count at the loop start is 2 (two statements ran) and the
+   step limit 100, so 98 steps are left; fuel 100 leaves 98 units too.
+   An exhausted budget stops the run at its first statement. *)
+let test_acceleration_fuel () =
+  let src = "void f() { int i = 0; while (i >= 0) { i++; } }" in
+  let case fuel = same_as_slow ~fuel (Printf.sprintf "fuel %d" fuel) src in
+  let below = case 99 and equal = case 100 and above = case 101 in
+  Alcotest.(check (pair string int)) "fuel below" ("fuel budget exhausted", 100)
+    (error_of below, steps_of below);
+  Alcotest.(check (pair string int)) "fuel equal: the step limit wins"
+    ("step limit exceeded", 101) (error_of equal, steps_of equal);
+  Alcotest.(check (pair string int)) "fuel above" ("step limit exceeded", 101)
+    (error_of above, steps_of above);
+  let dead = same_as_slow ~exhaust:true "exhausted budget" src in
+  Alcotest.(check (pair string int)) "exhausted budget" ("fuel budget exhausted", 1)
+    (error_of dead, steps_of dead)
+
+(* Sampled submissions of the four assignments whose helpers can count
+   the wrong way, run plain and under budgets of several sizes with a
+   small step limit. *)
+let test_acceleration_corpus () =
+  let limited = ref 0 in
+  List.iter
+    (fun id ->
+      let b = Option.get (Jfeed_kb.Bundles.find id) in
+      let suite = b.suite in
+      List.iter
+        (fun i ->
+          let src = Jfeed_gen.Spec.source_of_index b.gen i in
+          List.iter
+            (fun (c : Jfeed_ftest.Runner.case) ->
+              List.iter
+                (fun fuel ->
+                  let obs =
+                    same_as_slow ?fuel ~max_steps:300 ~entry:suite.entry
+                      ~args:c.args (Printf.sprintf "%s #%d" id i) src
+                  in
+                  if error_of obs = "step limit exceeded" then incr limited)
+                [ None; Some 40; Some 200; Some 299; Some 1000 ])
+            suite.cases)
+        (Jfeed_gen.Spec.sample_indices b.gen ~n:12 ~seed:3))
+    [ "esc-LAB-3-P1-V1"; "esc-LAB-3-P2-V1"; "esc-LAB-3-P3-V2"; "esc-LAB-3-P4-V2" ];
+  Alcotest.(check bool) "some runs reach the step limit" true (!limited > 0)
+
+(* The fast path itself: the slow path takes seconds for these steps. *)
+let test_acceleration_speed () =
+  let config = { Interp.files = []; max_steps = 100_000_000 } in
+  let t0 = Sys.time () in
+  let o =
+    Interp.run_source ~config
+      "void f() { int p = 1; for (int i = 1; i <= 10; i--) p *= i; }"
+      ~entry:"f" ~args:[]
+  in
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check (pair (option string) int)) "outcome"
+    (Some "step limit exceeded", 100_000_001) (o.Interp.error, o.steps);
+  if cpu >= 0.5 then Alcotest.failf "took %.2f s of CPU" cpu
+
+(* ------------------------------------------------------------------ *)
 (* Behaviour pinned over the generated corpus                          *)
 
 (* Suite arguments are shared bundle values: copy arrays so a program
@@ -403,6 +590,11 @@ let suite =
     Alcotest.test_case "shadowing" `Quick test_shadowing;
     Alcotest.test_case "shadowing snapshots" `Quick test_shadowing_snapshots;
     Alcotest.test_case "break/continue leaving a method" `Quick test_stray_jumps;
+    Alcotest.test_case "accelerated loops: hand-written" `Quick test_acceleration_cases;
+    Alcotest.test_case "accelerated loops: wrap boundary" `Quick test_acceleration_wrap;
+    Alcotest.test_case "accelerated loops: fuel" `Quick test_acceleration_fuel;
+    Alcotest.test_case "accelerated loops: sampled corpus" `Quick test_acceleration_corpus;
+    Alcotest.test_case "accelerated loops: fast path" `Quick test_acceleration_speed;
     Alcotest.test_case "corpus behaviour pinned" `Quick test_corpus_pinned;
     QCheck_alcotest.to_alcotest prop_arith_oracle;
   ]

@@ -45,6 +45,20 @@ let test_budget_check () =
   check "check sees the latch" false (Budget.check b Budget.Interp);
   Alcotest.(check (option int)) "nothing remains" (Some 0) (Budget.remaining b)
 
+(* A passed deadline is seen when the total spent reaches or crosses a
+   multiple of 1024 units. *)
+let test_budget_deadline_polls () =
+  let b = Budget.create ~deadline_s:(-1.0) () in
+  check "a bulk spend below 1024 does not poll" true
+    (Budget.spend b Budget.Interp 1000);
+  check "a single spend off a multiple does not poll" true
+    (Budget.spend b Budget.Interp 1);
+  check "a bulk spend across 1024 polls" false (Budget.spend b Budget.Interp 100);
+  let b = Budget.create ~deadline_s:(-1.0) () in
+  check "single spends poll on reaching 1024" false
+    (List.for_all (fun _ -> Budget.spend b Budget.Interp 1) (List.init 1024 Fun.id));
+  Alcotest.(check int) "after 1024 units" 1024 (Budget.spent b)
+
 (* ------------------------------------------------------------------ *)
 (* Matcher: exhaustion is tagged, not silent *)
 
@@ -418,6 +432,8 @@ let suite =
     Alcotest.test_case "budget: fuel accounting" `Quick test_budget_fuel;
     Alcotest.test_case "budget: unlimited" `Quick test_budget_unlimited;
     Alcotest.test_case "budget: check spends nothing" `Quick test_budget_check;
+    Alcotest.test_case "budget: bulk spends poll the deadline" `Quick
+      test_budget_deadline_polls;
     Alcotest.test_case "matcher: exhaustion is tagged" `Quick
       test_matcher_exhausted_flag;
     Alcotest.test_case "matcher: generous budget is a no-op" `Quick
