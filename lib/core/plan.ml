@@ -154,9 +154,9 @@ let steps t (epdg : Epdg.t) =
 (* Plan memo: compile once per pattern.  Per-domain (Domain.DLS) so the
    match path never takes a lock; Jfeed_kb.Bundles pre-compiles every
    shipped pattern at bundle load on the main domain, and a pool helper
-   compiles each pattern it meets once per process, since helpers
-   persist across Pool.map calls (compilation is O(pattern size), far
-   below one search).  Keyed by pattern id with a physical-equality
+   compiles each pattern it meets once in its lifetime, which spans
+   Pool.map calls until the helper retires (compilation is O(pattern
+   size), far below one search).  Keyed by pattern id with a physical-equality
    check, so distinct pattern values sharing an id (test fixtures) stay
    distinct. *)
 

@@ -98,8 +98,8 @@ let any_identifier = {|[A-Za-z_$][A-Za-z0-9_$]*|}
    domains at once, and a shared Hashtbl would race (corrupting buckets
    is undefined behaviour under OCaml 5).  Each domain memoizes its own
    compilations — slightly more compile work, zero synchronization on
-   the matcher's hottest string path.  Pool helpers live as long as the
-   process, so a helper's memo is as long-lived as the main domain's;
+   the matcher's hottest string path.  A pool helper lives across
+   Pool.map calls until it retires, so its memo outlasts a call;
    [memo_cap] bounds each domain's memo. *)
 let memo_key : (string, Re.re) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)

@@ -18,16 +18,19 @@ let chunks ~n ~jobs =
     go 0 []
   end
 
-(* The helper domains are spawned on demand and live as long as the
-   process: between calls each parks on [wake], so whatever it keeps in
-   [Domain.DLS] (plan and regex memos, the trace scratch buffer) stays
-   warm from one call to the next.  [owner] admits one call at a time;
-   only that call spawns, so [helpers] has one writer.  [lock] guards
-   the open call's fields. *)
+(* The helper domains are spawned on demand and park between calls, so
+   whatever each keeps in [Domain.DLS] (plan and regex memos, the trace
+   scratch buffer) stays warm from one call to the next.  A parked
+   helper is not free: its backup thread takes part in every
+   stop-the-world minor collection of the process.  So a helper retires
+   (its domain returns) once the process has run [retire_after] minor
+   collections since the pool's last call.  An idle process runs none,
+   so its helpers stay.  [owner] admits one call at a time; only that
+   call spawns.  [lock] guards [live], the helper count, and the open
+   call's fields. *)
 let owner = Atomic.make false
-let helpers = ref 0
+let live = ref 0
 let lock = Mutex.create ()
-let wake = Condition.create ()
 let idle = Condition.create ()
 
 (* The open call: its chunk-claiming closure ([None] once closed), its
@@ -38,9 +41,55 @@ let call = ref 0
 let seats = ref 0
 let joined = ref 0
 
-(* Runs with [lock] held.  Calls are numbered from 1, so a new helper
-   starts at [last = 0]. *)
-let rec park last =
+(* On a 2-vCPU VM, a [~jobs:2] call over a fresh-static pair took 7.7 ms
+   of CPU with a freshly spawned helper and 5.6 ms with a warm one, and
+   a parked helper added 25-90 us to each minor collection, or 140-190
+   us beside one CPU-bound process.  So respawning costs about as much
+   as 16 collections under load, and more than that only on an idle
+   machine. *)
+let retire_after = 16
+
+let collections () = (Gc.quick_stat ()).Gc.minor_collections
+
+(* A call wakes parked helpers with one ticket per seat a live helper
+   can take.  A parked helper waits for a ticket, or for its poll
+   interval to pass so that it can count collections; the interval
+   doubles while none happen, so a helper of an idle process wakes
+   about once a second.  park_stubs.c says why this is not a pipe. *)
+external wait : float -> unit = "jfeed_park_wait"
+external wake : int -> unit = "jfeed_park_wake"
+
+let poll_min = 0.005
+let poll_max = 1.0
+
+(* A parked helper's watch on the process: the call count and the
+   collection count at its last look, the collection count when a look
+   last found a new call, and its next wait. *)
+type watch = {
+  mutable calls : int;
+  mutable seen : int;
+  mutable since : int;
+  mutable poll : float;
+}
+
+(* Called between calls, without [lock]; [true] when the helper should
+   retire. *)
+let look t calls =
+  let gcs = collections () in
+  if calls <> t.calls then begin
+    t.calls <- calls;
+    t.since <- gcs;
+    t.poll <- poll_min
+  end
+  else if gcs = t.seen then t.poll <- Float.min poll_max (2. *. t.poll)
+  else t.poll <- poll_min;
+  t.seen <- gcs;
+  gcs - t.since >= retire_after
+
+(* Runs with [lock] held; returns, with it released, when the helper
+   retires.  Calls are numbered from 1, so a new helper starts at
+   [last = 0]. *)
+let rec park t ~last =
   match !work with
   | Some w when !call <> last && !seats > 0 ->
       let id = !call in
@@ -54,25 +103,47 @@ let rec park last =
       Mutex.lock lock;
       decr joined;
       if !joined = 0 then Condition.signal idle;
-      park id
+      park t ~last:id
   | _ ->
-      Condition.wait wake lock;
-      park last
+      let calls = !call in
+      Mutex.unlock lock;
+      if look t calls then begin
+        Mutex.lock lock;
+        decr live;
+        Mutex.unlock lock
+      end
+      else begin
+        wait t.poll;
+        Mutex.lock lock;
+        park t ~last
+      end
 
 let helper () =
+  let gcs = collections () in
   Mutex.lock lock;
-  park 0
+  park { calls = !call; seen = gcs; since = gcs; poll = poll_min } ~last:0
 
-(* The runtime caps live domains (128 in OCaml 5.1), and helpers never
-   exit: at the first refused spawn the call carries on with the
-   helpers it has, since the cursor finishes the work with any number. *)
+(* The runtime caps live domains (128 in OCaml 5.1): at the first
+   refused spawn the call carries on with the helpers it has, since the
+   cursor finishes the work with any number. *)
 let rec grow wanted =
-  if !helpers < wanted then
+  Mutex.lock lock;
+  let have = !live in
+  if have < wanted then incr live;
+  Mutex.unlock lock;
+  if have < wanted then
     match Domain.spawn helper with
-    | (_ : unit Domain.t) ->
-        incr helpers;
-        grow wanted
-    | exception Failure _ -> ()
+    | (_ : unit Domain.t) -> grow wanted
+    | exception Failure _ ->
+        Mutex.lock lock;
+        decr live;
+        Mutex.unlock lock
+
+let helpers () =
+  Mutex.lock lock;
+  let n = !live in
+  Mutex.unlock lock;
+  n
 
 (* Open the call to up to [n] helpers, work alongside them, then close
    it and wait only for the helpers that joined: one still waking up
@@ -82,9 +153,9 @@ let run_call ~n w =
   incr call;
   work := Some w;
   seats := n;
-  for _ = 1 to n do
-    Condition.signal wake
-  done;
+  (* A ticket per helper that can take a seat, so tickets left over by
+     a call that closed early stay few. *)
+  wake (min n !live);
   Mutex.unlock lock;
   Fun.protect w ~finally:(fun () ->
       Mutex.lock lock;

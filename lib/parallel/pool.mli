@@ -8,11 +8,14 @@
     [i] always lands in slot [i], so the output is byte-identical to the
     sequential run whatever the scheduling.
 
-    The helper domains are {e persistent}: spawned the first time a call
-    needs them, parked between calls, never joined.  Their
-    [Domain.DLS] state — the plan memo in [Jfeed_core.Plan], the regex
-    memo in [Jfeed_exprmatch.Template], [Jfeed_trace.Trace.scratch] —
-    therefore survives from call to call.
+    The helper domains are {e persistent} while the pool is in use:
+    spawned the first time a call needs them, parked between calls,
+    never joined.  Their [Domain.DLS] state — the plan memo in
+    [Jfeed_core.Plan], the regex memo in [Jfeed_exprmatch.Template],
+    [Jfeed_trace.Trace.scratch] — therefore survives from call to call.
+    A parked helper retires once the process has run 16 minor
+    collections since the pool's last call (see {!map}); the next call
+    that needs it spawns a fresh one.
 
     The mapped function must not touch shared mutable state; everything
     in the grading pipeline satisfies this (per-submission budgets,
@@ -47,7 +50,17 @@ val map : jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
       helpers it has, so any [jobs >= 1] is accepted.
     - Parked helpers do not keep the process alive at exit, but each
       one's backup thread takes part in every stop-the-world minor
-      collection of the process, which costs roughly 0.1–0.2 ms per
-      minor GC per parked helper.  And once a helper exists, the
-      runtime refuses [Unix.fork] for the rest of the process
+      collection of the process, which costs roughly 0.03–0.2 ms per
+      minor GC per parked helper.  So a helper retires once the
+      process has run 16 minor collections since the pool's last call:
+      a process that has gone back to sequential work stops paying
+      within about 5 ms of the 16th, and an idle one, which runs no
+      collections, keeps its helpers.  A parked helper reads
+      the count each time its wait times out: every 5 ms at first,
+      backing off to once a second while no collection happens.
+    - Once a helper exists, the runtime refuses [Unix.fork] for the
+      rest of the process, even after the helper retires
       ([Unix.create_process] still works). *)
+
+val helpers : unit -> int
+(** The number of live helper domains, parked or inside a call. *)

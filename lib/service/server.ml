@@ -333,9 +333,9 @@ let grade_miss cfg (m : miss) =
   let t0 = now_ms () in
   (* Every miss runs traced so the slowlog can show where a slow
      request spent its time.  The tracer is this worker domain's
-     reusable scratch buffer, allocated once per domain for the
-     daemon's lifetime (pool helpers persist) and written by that
-     domain alone; anything worth keeping is serialized below, before
+     reusable scratch buffer, allocated once per domain for its
+     lifetime (a pool helper's spans rounds until it retires) and
+     written by that domain alone; anything worth keeping is serialized below, before
      the domain's next miss recycles it. *)
   let trace = Trace.scratch () in
   let item =

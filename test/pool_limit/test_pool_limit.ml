@@ -1,6 +1,7 @@
 (** [Pool.map] past the runtime's domain limit.  A process of its own:
-    the helpers grown here stay parked for the rest of the process, and
-    every parked helper takes part in each stop-the-world minor GC. *)
+    the helpers grown here stay parked until the process has run 16
+    minor collections, and every parked helper takes part in each
+    stop-the-world minor GC. *)
 
 module Pool = Jfeed_parallel.Pool
 

@@ -107,6 +107,35 @@ let test_map_reentrant () =
   check "both calls = Array.map" true (mine = expect && theirs = expect);
   Alcotest.(check int) "the two calls overlapped" 2 (Atomic.get met)
 
+(* Run minor collections until every helper has retired. *)
+let retire_all () =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Pool.helpers () > 0 && Unix.gettimeofday () < deadline do
+    Gc.minor ();
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check int) "every helper retired" 0 (Pool.helpers ())
+
+let test_map_idle_helpers_retire () =
+  (* A parked helper takes part in every minor collection, so once the
+     process has run enough of them without a call, every helper
+     retires, and the next call grows a new one.  Collections between
+     the calls of a pool in use, 80 over 40 calls, retire none: one
+     helper serves every call. *)
+  retire_all ();
+  let inits = Atomic.make 0 in
+  let key = Domain.DLS.new_key (fun () -> Atomic.incr inits) in
+  for _ = 1 to 40 do
+    check "a pair meets on two domains" true
+      (met_on_two_domains (fun () -> Domain.DLS.get key));
+    Gc.minor ();
+    Gc.minor ()
+  done;
+  Alcotest.(check int) "the caller and one helper" 2 (Atomic.get inits);
+  retire_all ();
+  check "the next pair meets on two domains" true (met_on_two_domains ignore);
+  Alcotest.(check int) "it grew one helper" 1 (Pool.helpers ())
+
 (* ------------------------------------------------------------------ *)
 (* Budget.split: nothing lost to integer division *)
 
@@ -189,4 +218,6 @@ let suite =
       test_parallel_batch_byte_identical;
     Alcotest.test_case "more jobs than items" `Quick
       test_parallel_more_jobs_than_items;
+    Alcotest.test_case "map: idle helpers retire" `Quick
+      test_map_idle_helpers_retire;
   ]

@@ -432,8 +432,6 @@ let suite =
     Alcotest.test_case "budget: fuel accounting" `Quick test_budget_fuel;
     Alcotest.test_case "budget: unlimited" `Quick test_budget_unlimited;
     Alcotest.test_case "budget: check spends nothing" `Quick test_budget_check;
-    Alcotest.test_case "budget: bulk spends poll the deadline" `Quick
-      test_budget_deadline_polls;
     Alcotest.test_case "matcher: exhaustion is tagged" `Quick
       test_matcher_exhausted_flag;
     Alcotest.test_case "matcher: generous budget is a no-op" `Quick
@@ -464,4 +462,6 @@ let suite =
       test_batch_summary;
     Alcotest.test_case "batch: per-submission isolation" `Quick
       test_batch_isolation;
+    Alcotest.test_case "budget: bulk spends poll the deadline" `Quick
+      test_budget_deadline_polls;
   ]
