@@ -11,9 +11,16 @@
 
 #include <caml/mlvalues.h>
 #include <caml/signals.h>
-#include <errno.h>
 #include <pthread.h>
 #include <time.h>
+
+/* Waits run on the monotonic clock where the condition variable can be
+   told so; macOS has no pthread_condattr_setclock. */
+#ifdef __APPLE__
+#define PARK_CLOCK CLOCK_REALTIME
+#else
+#define PARK_CLOCK CLOCK_MONOTONIC
+#endif
 
 static pthread_mutex_t park_mutex = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t park_cond;
@@ -24,7 +31,9 @@ static void park_init(void)
 {
   pthread_condattr_t attr;
   pthread_condattr_init(&attr);
-  pthread_condattr_setclock(&attr, CLOCK_MONOTONIC);
+#ifndef __APPLE__
+  pthread_condattr_setclock(&attr, PARK_CLOCK);
+#endif
   pthread_cond_init(&park_cond, &attr);
   pthread_condattr_destroy(&attr);
 }
@@ -36,7 +45,7 @@ CAMLprim value jfeed_park_wait(value timeout_s)
   struct timespec until;
   int rc = 0;
   pthread_once(&park_once, park_init);
-  clock_gettime(CLOCK_MONOTONIC, &until);
+  clock_gettime(PARK_CLOCK, &until);
   until.tv_sec += (time_t)t;
   until.tv_nsec += (long)((t - (double)(time_t)t) * 1e9);
   if (until.tv_nsec >= 1000000000L) {
@@ -45,7 +54,9 @@ CAMLprim value jfeed_park_wait(value timeout_s)
   }
   caml_enter_blocking_section();
   pthread_mutex_lock(&park_mutex);
-  while (park_tickets == 0 && rc != ETIMEDOUT)
+  /* 0 is a wake-up, possibly spurious; anything else, ETIMEDOUT as a
+     rule, ends the wait. */
+  while (park_tickets == 0 && rc == 0)
     rc = pthread_cond_timedwait(&park_cond, &park_mutex, &until);
   if (park_tickets > 0)
     park_tickets--;
