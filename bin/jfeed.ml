@@ -502,7 +502,11 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Grade a batch of cache misses on N parallel domains.")
+          ~doc:
+            "Grade cache misses on up to N domains, the serving one \
+             included.  The socket daemon grows its N - 1 helper domains \
+             only when work waits while every domain grades; the stdio \
+             loop grades each batch on a pool of N.")
   in
   let fuel =
     Arg.(

@@ -58,6 +58,19 @@ exception Return_exc of Value.t
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
+(* The heap bound.  An array allocation of more than [max_cells] cells
+   fails as the JVM's does when the heap is too small for it, before
+   anything is allocated.  The cells are the product of the dimensions,
+   up to the first zero one: past it nothing is allocated. *)
+let max_cells = 1 lsl 22
+
+let rec check_cells n = function
+  | d :: rest when d > 0 ->
+      let n = n * d in
+      if n > max_cells then fail "OutOfMemoryError: Java heap space"
+      else check_cells n rest
+  | _ -> ()
+
 let tick ctx =
   ctx.steps <- ctx.steps + 1;
   if ctx.steps > ctx.config.max_steps then raise Step_limit;
@@ -633,7 +646,10 @@ let rec compile_expr cm chain (e : Ast.expr) : frame -> Value.t =
             if d < 0 then fail "NegativeArraySizeException: %d" d
             else Varr (Array.init d (fun _ -> build rest))
       in
-      fun fr -> build (List.map (fun d -> as_int (d fr)) dims)
+      fun fr ->
+        let ds = List.map (fun d -> as_int (d fr)) dims in
+        if List.for_all (fun d -> d >= 0) ds then check_cells 1 ds;
+        build ds
   | Ast.Array_lit elts ->
       let elts = List.map expr elts in
       fun fr -> Varr (Array.of_list (List.map (fun c -> c fr) elts))

@@ -299,19 +299,20 @@ type grade_req = {
   g_enq_ms : float;  (* monotonic admission instant, for queue-wait *)
 }
 
-(* Per-entry resolution after the cache pass. *)
-type resolved =
-  | Err of string
-  | Hit of entry * float  (* lookup ms *)
-  | Miss of int  (* index into the miss array *)
-  | Dup of int  (* same key as an earlier miss of this batch *)
-
 type miss = {
   m_bundle : Bundles.t;
   m_key : string;
   m_req : grade_req;
-  m_sample : bool;  (* 1-in-N trace retention, decided at resolution *)
+  m_sample : bool;  (* 1-in-N trace retention, decided when it became a miss *)
 }
+
+(* A grade request after its cache lookup.  [Fresh] still has to be
+   graded, unless a computation of the same key is already under way;
+   each loop keeps its own table of those. *)
+type resolved =
+  | Err of string
+  | Hit of entry * float  (* lookup ms *)
+  | Fresh of miss
 
 (* Monotonic, nanosecond-backed: wall-clock steps (NTP, suspend) can
    no longer produce negative or wildly wrong latencies, and the
@@ -320,23 +321,48 @@ type miss = {
 let now_ms () = Int64.to_float (Trace.now_ns ()) /. 1e6
 
 (* Emit one lifecycle event iff the daemon has an event log and the
-   request a correlation id.  All call sites run single-threaded (the
-   resolution/response phases and the event loop), matching the ring's
-   one-writer contract. *)
+   request a correlation id.  Every call site runs with the serving
+   state to itself (the stdio loop's one domain, or the socket loop's
+   lock), matching the ring's one-writer contract. *)
 let emit st ~rid ev attrs =
   match (st.events, rid) with
   | Some e, Some rid -> Events.emit e ~rid ~ev attrs
   | _ -> ()
 
+let resolve st r =
+  match Bundles.find r.g_assignment with
+  | None ->
+      Err
+        (Printf.sprintf "unknown assignment %S; try: jfeed assignments"
+           r.g_assignment)
+  | Some b -> (
+      let t0 = now_ms () in
+      let key, _fp =
+        Normalize.cache_key ~assignment:r.g_assignment ~fuel:r.g_fuel
+          ~deadline_s:r.g_deadline ~with_tests:r.g_with_tests r.g_source
+      in
+      match Shards.find st.cache key with
+      | Some e -> Hit (e, now_ms () -. t0)
+      | None -> Fresh { m_bundle = b; m_key = key; m_req = r; m_sample = false })
+
+(* The 1-in-N sampling decision, made as a request becomes a miss, in
+   the order the loop takes them, so it does not depend on the number
+   of grading domains. *)
+let sampled st m =
+  match st.config.trace_sample with
+  | Some n when m.m_req.g_rid <> None ->
+      st.seq_ctr <- st.seq_ctr + 1;
+      { m with m_sample = st.seq_ctr mod n = 0 }
+  | _ -> m
+
 let grade_miss cfg (m : miss) =
   let r = m.m_req in
   let t0 = now_ms () in
   (* Every miss runs traced so the slowlog can show where a slow
-     request spent its time.  The tracer is this worker domain's
-     reusable scratch buffer, allocated once per domain for its
-     lifetime (a pool helper's spans rounds until it retires) and
-     written by that domain alone; anything worth keeping is serialized below, before
-     the domain's next miss recycles it. *)
+     request spent its time.  The tracer is this domain's reusable
+     scratch buffer, allocated once per domain for its lifetime and
+     written by that domain alone; anything worth keeping is
+     serialized below, before the domain's next miss recycles it. *)
   let trace = Trace.scratch () in
   let item =
     Pipeline.grade_submission ?fuel:r.g_fuel ?deadline_s:r.g_deadline
@@ -373,8 +399,8 @@ let grade_miss cfg (m : miss) =
   in
   (* Tail-based retention: keep the full span tree only when the
      request turned out interesting — slow, not cleanly graded, or
-     1-in-N sampled.  Serialized here, in the worker, because the
-     scratch buffer is recycled by this domain's next miss. *)
+     1-in-N sampled.  Serialized here, in the grading domain, because
+     the scratch buffer is recycled by this domain's next miss. *)
   let retained =
     r.g_rid <> None
     && (m.m_sample
@@ -387,10 +413,81 @@ let grade_miss cfg (m : miss) =
   let spans = if retained then Some (Trace.spans_json trace) else None in
   (entry, ms, slow, spans)
 
-(* Grade one batch against the cache + pool; one response line per
-   request, in request order.  Shared by the stdio loop (which prints
-   the lines) and the socket event loop (which fills each request's
-   answer cell). *)
+(* An exception escaping the pipeline becomes the miss's error answer
+   (and its duplicates'), never a dead daemon or a stranded request. *)
+let grade_guarded cfg m =
+  match grade_miss cfg m with
+  | graded -> Ok graded
+  | exception e -> Error ("internal error: " ^ Printexc.to_string e)
+
+(* The answers.  Each records its request in the metrics and the event
+   log and returns its response line.  [reply] is the one way out for
+   an answered grade, hit, miss or duplicate: counters, its cache
+   events, the SLO verdict, the respond event and the response line.
+   Total service time runs from admission, so queue wait counts against
+   the objective exactly as the client experienced it. *)
+let reply st r e ~cached ~ms events =
+  Metrics.record_grade st.metrics ~outcome:e.outcome_class ~hit:cached ~ms;
+  Metrics.record_diags st.metrics e.diag_counts;
+  List.iter (fun (ev, attrs) -> emit st ~rid:r.g_rid ev attrs) events;
+  let total = now_ms () -. r.g_enq_ms in
+  Option.iter
+    (fun slo -> Metrics.record_slo st.metrics ~ok:(total <= slo))
+    st.config.slo_ms;
+  emit st ~rid:r.g_rid "respond"
+    [
+      ("outcome", Events.S e.outcome_class);
+      ("cached", Events.I (if cached then 1 else 0));
+      ("queue_ms", Events.F (total -. ms));
+      ("total_ms", Events.F total);
+    ];
+  Proto.grade_response ?id:r.g_id ?rid:r.g_rid ~cached ~fuel:e.fuel_spent
+    e.result_json
+
+let answer_error st r msg =
+  Metrics.record_error st.metrics;
+  emit st ~rid:r.g_rid "respond" [ ("outcome", Events.S "error") ];
+  Proto.error_response ?id:r.g_id ?rid:r.g_rid msg
+
+let answer_hit st r e ~ms =
+  reply st r e ~cached:true ~ms [ ("cache_hit", [ ("ms", Events.F ms) ]) ]
+
+let answer_miss st m = function
+  | Error msg -> answer_error st m.m_req msg
+  | Ok (e, ms, slow, spans) ->
+      Shards.add st.cache m.m_key e;
+      (* Fresh results — and only fresh results — reach the durable
+         log; replayed or duplicate hits are already on disk. *)
+      Option.iter
+        (fun s -> Store.append s ~key:m.m_key ~value:(encode_entry e))
+        st.store;
+      Metrics.record_slow st.metrics slow;
+      let trace =
+        match spans with
+        | Some spans ->
+            Metrics.record_trace_retained st.metrics;
+            [ ("trace", [ ("spans", Events.R spans) ]) ]
+        | None -> []
+      in
+      reply st m.m_req e ~cached:false ~ms
+        (("cache_miss", [])
+        :: ( "grade_done",
+             [ ("ms", Events.F ms); ("outcome", Events.S e.outcome_class) ] )
+        :: trace)
+
+(* Served from an in-flight computation of the same key: a hit in every
+   observable way, it just wasn't stored yet when the lookup ran.  The
+   requester still waited for that grading, so its service time — not
+   zero — is what lands in the latency reservoir. *)
+let answer_dup st r = function
+  | Error msg -> answer_error st r msg
+  | Ok (e, ms, _, _) ->
+      reply st r e ~cached:true ~ms
+        [ ("cache_hit", [ ("ms", Events.F ms); ("dup", Events.I 1) ]) ]
+
+(* The stdio loop's grading round: one batch against the cache + pool,
+   one response line per request, in request order.  Duplicates within
+   the batch collapse onto one computation. *)
 let grade_batch st (batch : grade_req list) : string list =
   Metrics.observe_queue_depth st.metrics (List.length batch);
   let misses = ref [] in
@@ -399,121 +496,34 @@ let grade_batch st (batch : grade_req list) : string list =
   let resolved =
     List.map
       (fun r ->
-        match Bundles.find r.g_assignment with
-        | None ->
-            ( r,
-              Err
-                (Printf.sprintf
-                   "unknown assignment %S; try: jfeed assignments"
-                   r.g_assignment) )
-        | Some b ->
-            let t0 = now_ms () in
-            let key, _fp =
-              Normalize.cache_key ~assignment:r.g_assignment ~fuel:r.g_fuel
-                ~deadline_s:r.g_deadline ~with_tests:r.g_with_tests
-                r.g_source
-            in
-            (match Shards.find st.cache key with
-            | Some e -> (r, Hit (e, now_ms () -. t0))
-            | None -> (
-                match Hashtbl.find_opt inflight key with
-                | Some i -> (r, Dup i)
-                | None ->
-                    let i = !n_misses in
-                    Hashtbl.add inflight key i;
-                    incr n_misses;
-                    (* The 1-in-N sampling decision is made here, in
-                       the single-threaded resolution phase, so it is
-                       deterministic in arrival order whatever the
-                       pool width. *)
-                    let m_sample =
-                      match st.config.trace_sample with
-                      | Some n when r.g_rid <> None ->
-                          st.seq_ctr <- st.seq_ctr + 1;
-                          st.seq_ctr mod n = 0
-                      | _ -> false
-                    in
-                    misses :=
-                      { m_bundle = b; m_key = key; m_req = r; m_sample }
-                      :: !misses;
-                    (r, Miss i))))
+        match resolve st r with
+        | Fresh m -> (
+            match Hashtbl.find_opt inflight m.m_key with
+            | Some i -> (r, `Dup i)
+            | None ->
+                let i = !n_misses in
+                Hashtbl.add inflight m.m_key i;
+                incr n_misses;
+                misses := sampled st m :: !misses;
+                (r, `Miss i))
+        | Err msg -> (r, `Err msg)
+        | Hit (e, ms) -> (r, `Hit (e, ms)))
       batch
   in
   let miss_arr = Array.of_list (List.rev !misses) in
   (* The parallel part: only genuine cache misses reach the pool, each
      with its own fresh budget (jobs-invariant, like the batch CLI). *)
   let results =
-    Pool.map ~jobs:st.config.jobs ~f:(grade_miss st.config) miss_arr
-  in
-  (* The one way out for an answered grade, hit, miss or duplicate:
-     counters, its cache events, the SLO verdict, the respond event and
-     the response line.  Total service time runs from admission, so
-     queue wait counts against the objective exactly as the client
-     experienced it. *)
-  let reply r e ~cached ~ms events =
-    Metrics.record_grade st.metrics ~outcome:e.outcome_class ~hit:cached ~ms;
-    Metrics.record_diags st.metrics e.diag_counts;
-    List.iter (fun (ev, attrs) -> emit st ~rid:r.g_rid ev attrs) events;
-    let total = now_ms () -. r.g_enq_ms in
-    Option.iter
-      (fun slo -> Metrics.record_slo st.metrics ~ok:(total <= slo))
-      st.config.slo_ms;
-    emit st ~rid:r.g_rid "respond"
-      [
-        ("outcome", Events.S e.outcome_class);
-        ("cached", Events.I (if cached then 1 else 0));
-        ("queue_ms", Events.F (total -. ms));
-        ("total_ms", Events.F total);
-      ];
-    Proto.grade_response ?id:r.g_id ?rid:r.g_rid ~cached ~fuel:e.fuel_spent
-      e.result_json
+    Pool.map ~jobs:st.config.jobs ~f:(grade_guarded st.config) miss_arr
   in
   let lines =
     List.map
       (fun (r, res) ->
         match res with
-        | Err msg ->
-            Metrics.record_error st.metrics;
-            emit st ~rid:r.g_rid "respond"
-              [ ("outcome", Events.S "error") ];
-            Proto.error_response ?id:r.g_id ?rid:r.g_rid msg
-        | Hit (e, ms) ->
-            reply r e ~cached:true ~ms
-              [ ("cache_hit", [ ("ms", Events.F ms) ]) ]
-        | Miss i ->
-            let e, ms, slow, spans = results.(i) in
-            let key = miss_arr.(i).m_key in
-            Shards.add st.cache key e;
-            (* Fresh results — and only fresh results — reach the durable
-               log; replayed or duplicate hits are already on disk. *)
-            Option.iter
-              (fun s -> Store.append s ~key ~value:(encode_entry e))
-              st.store;
-            Metrics.record_slow st.metrics slow;
-            let trace =
-              match spans with
-              | Some spans ->
-                  Metrics.record_trace_retained st.metrics;
-                  [ ("trace", [ ("spans", Events.R spans) ]) ]
-              | None -> []
-            in
-            reply r e ~cached:false ~ms
-              (("cache_miss", [])
-              :: ( "grade_done",
-                   [
-                     ("ms", Events.F ms);
-                     ("outcome", Events.S e.outcome_class);
-                   ] )
-              :: trace)
-        | Dup i ->
-            (* Served from an in-flight computation of this very batch:
-               a hit in every observable way, it just wasn't stored yet
-               when the lookup ran.  The requester still waited for that
-               grading, so its service time — not zero — is what lands
-               in the latency reservoir. *)
-            let e, ms, _, _ = results.(i) in
-            reply r e ~cached:true ~ms
-              [ ("cache_hit", [ ("ms", Events.F ms); ("dup", Events.I 1) ]) ])
+        | `Err msg -> answer_error st r msg
+        | `Hit (e, ms) -> answer_hit st r e ~ms
+        | `Miss i -> answer_miss st miss_arr.(i) results.(i)
+        | `Dup i -> answer_dup st r results.(i))
       resolved
   in
   Option.iter Events.flush st.events;
@@ -680,25 +690,30 @@ let serve_stdio config =
 (* Concurrent socket daemon.
 
    One select(2) event loop multiplexes the listener and every open
-   connection; grading still runs in bounded synchronous rounds through
-   {!grade_batch} (the pool is the parallelism — the loop's job is to
-   keep one slow or bursty client from wedging the rest):
+   connection.  The domains that grade share it, leader/followers
+   style: all loop state sits under one lock, any free domain runs a
+   loop turn, and a domain that takes a miss grades it outside the lock
+   and then answers it itself — cache insert, store append, events,
+   answer cell and write-out — so no response waits for a hand-off
+   between domains.
 
    - Per-connection response order is kept by a FIFO of slots: a slot
      is either a finished line (errors, control answers, queue-full
-     sheds) or an answer cell that its grading round fills.  Slots
+     sheds) or an answer cell that the request's answer fills.  Slots
      drain front-to-back, so a stats response never overtakes an
-     earlier grade response on the same connection, while grading
-     rounds batch cells across connections freely.
-   - Admission control bounds memory: at most [queue_cap] cells are
-     pending at once; a grade line past that is refused on the spot
-     with a [rejected:"overloaded"] response.  Past [watermark] (when
-     set, with [shed_fuel]), requests are still admitted but on the
-     degraded fuel budget — the PR-1 ladder applied at the front door.
-     The fuel override is part of the cache key, so degraded results
-     never impersonate full-budget ones.
-   - A request that waited longer than its own deadline is shed when
-     its round starts, not graded with a stale budget: grading it
+     earlier grade response on the same connection, while the cells of
+     different connections fill in any order.
+   - Admission control bounds memory: at most [queue_cap] grade
+     requests are admitted and unanswered at once (queued, being
+     graded, or waiting on the grading of the same key); a grade line
+     past that is refused on the spot with a [rejected:"overloaded"]
+     response.  Past [watermark] (when set, with [shed_fuel]), requests
+     are still admitted but on the degraded fuel budget: the
+     degradation ladder applied at the front door.  The fuel override
+     is part of the cache key, so degraded results never impersonate
+     full-budget ones.
+   - A request that waited longer than its own deadline is shed when a
+     domain resolves it, not graded with a stale budget: grading it
      anyway would poison the cache with a result keyed as full-budget
      but computed after the requester gave up.
    - Flow control: a connection whose output backlog exceeds
@@ -708,17 +723,48 @@ let serve_stdio config =
      finite select timeout bounds the latency): the listener closes,
      reads stop, admitted requests finish, output drains (with a grace
      period), the durable store is compacted + fsynced, the socket
-     path unlinked. *)
+     path unlinked.
+
+   The domains: the serving domain (the one that called
+   [serve_socket]) and at most [jobs - 1] helpers.
+
+   - A free domain resolves the admitted requests in admission order
+     and takes the oldest miss to grade; everything else (an error, a
+     hit, an expired deadline, a key already being graded) it answers
+     on the spot.
+   - With nothing queued, the serving domain polls: it runs the select
+     turn that accepts, reads, admits and writes.  A helper polls only
+     while the serving domain is grading, and parks otherwise.  When
+     the serving domain frees up while a helper polls, it takes polling
+     back and polls itself.  The helper, still in its select, wakes on
+     the same input (or after [poll_s]) and leaves the events to it.
+     Nothing wakes it sooner: a pipe write would, but a pipe wakes its
+     reader with a "sync" hint that lets Linux queue the helper on the
+     writer's CPU (see park_stubs.c), and the next wake-up then held
+     the serving domain off its CPU (1.6 ms at p99 on fresh-static).
+   - A domain that takes a miss while no domain polls wakes one parked
+     helper, which takes the next queued request or polls.
+   - Helpers grow on demand.  A domain that finishes a miss while no
+     domain polls looks for waiting work (a queued request, or a
+     connection with input) before it writes its own answer; if there
+     is some and fewer than [jobs] domains exist, it spawns a helper.
+     A client that sends one request at a time therefore keeps one
+     domain.
+   - Every domain joins every stop-the-world minor collection, so a
+     helper that stays parked through [retire_after] of them retires.
+     The polling domain, which wakes at least every [poll_s], counts. *)
 
 let out_highwater = 4 * 1024 * 1024
 let drain_grace_s = 5.0
+let poll_s = 0.2
+let retire_after = 16
 
-(* A queued grade's answer cell: empty until its round fills it. *)
-type cell = { w_req : grade_req; mutable w_line : string option }
+(* A queued grade's answer cell: empty until its answer fills it. *)
+type cell = { w_req : grade_req; w_conn : conn; mutable w_line : string option }
 
-type slot = Done of string | Wait of cell
+and slot = Done of string | Wait of cell
 
-type conn = {
+and conn = {
   c_fd : Unix.file_descr;
   c_rd : reader;
   c_slots : slot Queue.t;
@@ -726,6 +772,38 @@ type conn = {
   mutable c_off : int;  (* written prefix of the head string *)
   mutable c_out_len : int;  (* total unwritten bytes *)
   mutable c_dead : bool;
+}
+
+type wake = Busy | Parked of int (* minor collections at parking *) | Woken | Retired
+
+type helper = {
+  h_id : int;  (* from 1; the serving domain is 0 *)
+  h_wake : Condition.t;
+  mutable h_state : wake;
+  mutable h_domain : unit Domain.t option;
+  mutable h_gone : bool;  (* its domain has left the loop *)
+}
+
+type loop = {
+  st : state;
+  sock : Unix.file_descr;
+  stop : bool Atomic.t;
+  lock : Mutex.t;  (* over everything below, and [st] *)
+  pending : cell Queue.t;  (* admitted, not yet resolved *)
+  ready : (cell * miss) Queue.t;  (* resolved misses no domain has taken *)
+  inflight : (string, cell list ref) Hashtbl.t;
+      (* key being graded -> the requests waiting on it, latest first *)
+  mutable depth : int;  (* grade requests admitted and not yet answered *)
+  mutable conns : conn list;
+  mutable drain_deadline : float;
+  mutable poller : int;  (* the polling domain's id; -1 when none polls *)
+  mutable serving_busy : bool;
+  mutable domains : int;  (* the serving domain and the helpers in the loop *)
+  mutable helpers : helper list;  (* spawned, not yet joined *)
+  mutable parked : helper list;  (* most recently parked first *)
+  mutable next_id : int;
+  mutable closing : bool;
+  mutable fault : exn option;  (* escaped a helper; the serving domain re-raises it *)
 }
 
 let push_out c line =
@@ -743,7 +821,7 @@ let promote st c =
         ignore (Queue.pop c.c_slots);
         push_out c line;
         go ()
-    | Some (Wait { w_req; w_line = Some line }) ->
+    | Some (Wait { w_req; w_line = Some line; _ }) ->
         ignore (Queue.pop c.c_slots);
         emit st ~rid:w_req.g_rid "write"
           [ ("bytes", Events.I (String.length line + 1)) ];
@@ -771,7 +849,7 @@ let rec write_conn c =
       | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) ->
           c.c_dead <- true)
 
-(* Refuse a grade request, on arrival or at its round: counted as shed
+(* Refuse a grade request, on arrival or when taken: counted as shed
    and, under an SLO, as bad.  [reason] replaces the refusal's default
    "queue full" wording. *)
 let shed st r ?reason attrs =
@@ -780,13 +858,385 @@ let shed st r ?reason attrs =
   emit st ~rid:r.g_rid "shed" attrs;
   Proto.overloaded_response ?id:r.g_id ?rid:r.g_rid ?reason ()
 
+(* Run [f] without the lock; it is held again when [f] returns or
+   raises, so every loop function runs with it held. *)
+let unlocked lp f =
+  Mutex.unlock lp.lock;
+  Fun.protect ~finally:(fun () -> Mutex.lock lp.lock) f
+
+(* A connection whose client hung up and that owes and awaits nothing. *)
+let finished c = c.c_rd.eof && Queue.is_empty c.c_slots && c.c_out_len = 0
+
+let close_conns lp cs =
+  List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) cs;
+  lp.conns <- List.filter (fun c -> not (List.memq c cs)) lp.conns
+
+(* Fill a cell: its request leaves the admission count, and its
+   connection's leading answers go out now, from the domain that
+   answered it.  A client that half-closed its end waits for ours to
+   close, so a connection finished by this answer closes now, not at
+   the next poll turn.  A connection that failed a write (and may be
+   closed already) takes nothing more. *)
+let settle lp w line =
+  w.w_line <- Some line;
+  lp.depth <- lp.depth - 1;
+  let c = w.w_conn in
+  if not c.c_dead then begin
+    promote lp.st c;
+    write_conn c;
+    if finished c then close_conns lp [ c ]
+  end
+
+let admit lp c line =
+  let st = lp.st in
+  match decode st line with
+  | None -> ()
+  | Some d -> (
+      let depth = lp.depth in
+      let push slot = Queue.push slot c.c_slots in
+      match d with
+      | Reply line -> push (Done line)
+      | Render render ->
+          push
+            (Done
+               (render
+                  (view st ~conns:(List.length lp.conns) ~queue_depth:depth)))
+      | Shutdown line ->
+          push (Done line);
+          Atomic.set lp.stop true
+      | Grade req when depth >= st.config.queue_cap ->
+          (* Hard shed: answer now, never queue, never grade. *)
+          push
+            (Done
+               (shed st req
+                  [ ("reason", Events.S "queue full"); ("depth", Events.I depth) ]))
+      | Grade req ->
+          let req =
+            match (st.config.watermark, st.config.shed_fuel) with
+            | Some w, Some sf when depth >= w ->
+                (* Degraded admission: still served, on the shed
+                   budget.  The clamped fuel is part of the cache key,
+                   so this can't poison full-budget entries. *)
+                Metrics.record_degraded_admission st.metrics;
+                let clamped =
+                  match req.g_fuel with Some f -> min f sf | None -> sf
+                in
+                emit st ~rid:req.g_rid "degrade"
+                  [ ("fuel", Events.I clamped); ("depth", Events.I depth) ];
+                { req with g_fuel = Some clamped }
+            | _ -> req
+          in
+          let cell = { w_req = req; w_conn = c; w_line = None } in
+          Queue.push cell lp.pending;
+          lp.depth <- depth + 1;
+          Metrics.observe_queue_depth st.metrics lp.depth;
+          push (Wait cell))
+
+let read_conn lp c =
+  while fill c.c_rd do
+    ()
+  done;
+  let rec lines () =
+    match take_buffered_line c.c_rd with
+    | Some l ->
+        admit lp c l;
+        lines ()
+    | None -> ()
+  in
+  lines ()
+
+let rec accept_all lp =
+  match Sysx.accept lp.sock with
+  | `Conn (fd, _) ->
+      Unix.set_nonblock fd;
+      lp.conns <-
+        {
+          c_fd = fd;
+          c_rd = reader_of_fd fd;
+          c_slots = Queue.create ();
+          c_out = Queue.create ();
+          c_off = 0;
+          c_out_len = 0;
+          c_dead = false;
+        }
+        :: lp.conns;
+      accept_all lp
+  | `Again -> ()
+
+(* Resolve every admitted request against the cache, in admission
+   order, before any of them is graded — as the stdio loop's round does
+   — then hand out the oldest miss.  Everything else is answered on the
+   spot: a request whose deadline passed while it was queued is shed,
+   an error or a hit answered, and a request whose key is already
+   being graded (or waits to be) waits on that miss. *)
+let take lp =
+  let st = lp.st in
+  while not (Queue.is_empty lp.pending) do
+    let w = Queue.pop lp.pending in
+    let r = w.w_req in
+    let waited = now_ms () -. r.g_enq_ms in
+    match r.g_deadline with
+    | Some d when not (waited /. 1000.0 < d) ->
+        let reason = "deadline exceeded while queued" in
+        settle lp w
+          (shed st r ~reason
+             [ ("reason", Events.S reason); ("queue_ms", Events.F waited) ])
+    | _ -> (
+        match resolve st r with
+        | Err msg -> settle lp w (answer_error st r msg)
+        | Hit (e, ms) -> settle lp w (answer_hit st r e ~ms)
+        | Fresh m -> (
+            match Hashtbl.find_opt lp.inflight m.m_key with
+            | Some dups -> dups := w :: !dups
+            | None ->
+                Hashtbl.add lp.inflight m.m_key (ref []);
+                Queue.push (w, sampled st m) lp.ready))
+  done;
+  Queue.take_opt lp.ready
+
+(* The connections a poll reads: none once stopping, and none whose
+   output backlog is past the high-water mark. *)
+let readable lp =
+  if Atomic.get lp.stop then []
+  else
+    List.filter_map
+      (fun c ->
+        if (not c.c_rd.eof) && c.c_out_len < out_highwater then Some c.c_fd
+        else None)
+      lp.conns
+
+(* Work that no domain is on: a queued request, or input nobody read. *)
+let waiting lp =
+  (not (Queue.is_empty lp.pending && Queue.is_empty lp.ready))
+  ||
+  match readable lp with
+  | [] -> false
+  | fds -> (
+      match Sysx.select fds [] [] 0.0 with ready, _, _ -> ready <> [])
+
+let collections () = (Gc.quick_stat ()).Gc.minor_collections
+
+let retire_idle lp =
+  if lp.parked <> [] then begin
+    let gcs = collections () in
+    let stale, fresh =
+      List.partition
+        (fun h ->
+          match h.h_state with
+          | Parked since -> gcs - since >= retire_after
+          | Busy | Woken | Retired -> false)
+        lp.parked
+    in
+    lp.parked <- fresh;
+    List.iter
+      (fun h ->
+        h.h_state <- Retired;
+        Condition.signal h.h_wake)
+      stale
+  end
+
+(* One select turn by domain [me]: accept, read and admit, write, flush
+   the event log, reap.  A helper whose polling the serving domain took
+   over meanwhile leaves the events to it. *)
+let poll lp ~me =
+  let st = lp.st in
+  lp.poller <- me;
+  if Atomic.get lp.stop && lp.drain_deadline = infinity then
+    lp.drain_deadline <- now_ms () +. (drain_grace_s *. 1000.0);
+  retire_idle lp;
+  let rds =
+    (if Atomic.get lp.stop then [] else [ lp.sock ]) @ readable lp
+  in
+  let wrs =
+    List.filter_map
+      (fun c -> if c.c_out_len > 0 then Some c.c_fd else None)
+      lp.conns
+  in
+  let gone, live = List.partition (fun h -> h.h_gone) lp.helpers in
+  lp.helpers <- live;
+  let rready, wready =
+    unlocked lp (fun () ->
+        List.iter (fun h -> Option.iter Domain.join h.h_domain) gone;
+        (* A descriptor can be closed between a displaced helper's
+           look at the connections and its select. *)
+        match Sysx.select rds wrs [] poll_s with
+        | r, w, _ -> (r, w)
+        | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], []))
+  in
+  if lp.poller = me && not lp.closing then begin
+    lp.poller <- -1;
+    let stop = Atomic.get lp.stop in
+    if (not stop) && List.mem lp.sock rready then accept_all lp;
+    (* Answers go out as soon as they exist: the ones admission gives
+       (control answers, errors, sheds) right after the read, a cell's
+       when it is filled.  What is left waits on a slow reader, so it
+       is written again once select says it can go, or at the stop. *)
+    if not stop then
+      List.iter
+        (fun c ->
+          if List.mem c.c_fd rready then begin
+            read_conn lp c;
+            promote st c;
+            write_conn c
+          end)
+        lp.conns;
+    List.iter
+      (fun c ->
+        if c.c_out_len > 0 && (List.mem c.c_fd wready || stop) then
+          write_conn c)
+      lp.conns;
+    (* Admissions, sheds and write-outs of this turn reach disk before
+       the next select sleep. *)
+    Option.iter Events.flush st.events;
+    (* Reap: write-errored connections, and finished ones. *)
+    close_conns lp (List.filter (fun c -> c.c_dead || finished c) lp.conns)
+  end
+
+(* Grade a taken miss outside the lock, then answer it and every
+   request that waited on its key. *)
+let rec grade lp ~me (w, m) =
+  let st = lp.st in
+  let woken =
+    match lp.parked with
+    | h :: rest when lp.poller < 0 ->
+        lp.parked <- rest;
+        h.h_state <- Woken;
+        Some h
+    | _ -> None
+  in
+  if me = 0 then lp.serving_busy <- true;
+  let result =
+    unlocked lp (fun () ->
+        Option.iter (fun h -> Condition.signal h.h_wake) woken;
+        grade_guarded st.config m)
+  in
+  if me = 0 then lp.serving_busy <- false;
+  let dups = Hashtbl.find lp.inflight m.m_key in
+  Hashtbl.remove lp.inflight m.m_key;
+  (* Looked at before this answer goes out: a client that sends one
+     request at a time has sent nothing yet. *)
+  let grow = lp.poller < 0 && lp.domains < st.config.jobs && waiting lp in
+  settle lp w (answer_miss st m result);
+  List.iter (fun d -> settle lp d (answer_dup st d.w_req result)) (List.rev !dups);
+  Option.iter Events.flush st.events;
+  if grow then spawn lp
+
+(* The runtime caps live domains (128 in OCaml 5.1): a refused spawn
+   leaves the loop with the domains it has. *)
+and spawn lp =
+  let h =
+    {
+      h_id = lp.next_id;
+      h_wake = Condition.create ();
+      h_state = Busy;
+      h_domain = None;
+      h_gone = false;
+    }
+  in
+  lp.next_id <- lp.next_id + 1;
+  match Domain.spawn (fun () -> helper lp h) with
+  | d ->
+      h.h_domain <- Some d;
+      lp.domains <- lp.domains + 1;
+      lp.helpers <- h :: lp.helpers
+  | exception Failure _ -> ()
+
+and helper lp h =
+  Mutex.lock lp.lock;
+  (try helper_turns lp h
+   with e -> if lp.fault = None then lp.fault <- Some e);
+  lp.domains <- lp.domains - 1;
+  h.h_gone <- true;
+  Mutex.unlock lp.lock
+
+and helper_turns lp h =
+  if not lp.closing then
+    match take lp with
+    | Some job ->
+        grade lp ~me:h.h_id job;
+        helper_turns lp h
+    | None ->
+        if lp.poller < 0 && lp.serving_busy then begin
+          poll lp ~me:h.h_id;
+          helper_turns lp h
+        end
+        else if park lp h then helper_turns lp h
+
+(* Wait to be woken; false when told to retire. *)
+and park lp h =
+  h.h_state <- Parked (collections ());
+  lp.parked <- h :: lp.parked;
+  while match h.h_state with Parked _ -> true | Busy | Woken | Retired -> false do
+    Condition.wait h.h_wake lp.lock
+  done;
+  let woken = h.h_state = Woken in
+  h.h_state <- Busy;
+  woken
+
+let drained lp =
+  lp.depth = 0
+  && List.for_all
+       (fun c -> c.c_out_len = 0 && Queue.is_empty c.c_slots)
+       lp.conns
+
+let rec serve lp =
+  Option.iter raise lp.fault;
+  match take lp with
+  | Some job ->
+      grade lp ~me:0 job;
+      serve lp
+  | None ->
+      poll lp ~me:0;
+      if not (Atomic.get lp.stop && (drained lp || now_ms () > lp.drain_deadline))
+      then serve lp
+
+(* Called with the lock held; returns without it, once every helper
+   has left the loop (one in select leaves within [poll_s]). *)
+let close_loop lp =
+  lp.closing <- true;
+  List.iter
+    (fun h ->
+      h.h_state <- Retired;
+      Condition.signal h.h_wake)
+    lp.parked;
+  lp.parked <- [];
+  let hs = lp.helpers in
+  lp.helpers <- [];
+  Mutex.unlock lp.lock;
+  List.iter (fun h -> Option.iter Domain.join h.h_domain) hs
+
+(* A path another daemon still serves is refused; one whose daemon is
+   gone (a refused connect) is a stale file, replaced. *)
+let claim path =
+  if Sys.file_exists path then begin
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      Fun.protect ~finally:(fun () -> Unix.close probe) @@ fun () ->
+      Unix.set_nonblock probe;
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINPROGRESS), _, _) ->
+          true
+      | exception Unix.Unix_error _ -> false
+    in
+    if live then
+      failwith
+        (Printf.sprintf "socket %S is served by another jfeed serve" path);
+    Sys.remove path
+  end
+
+let inode path =
+  match Unix.lstat path with
+  | s -> Some (s.Unix.st_dev, s.Unix.st_ino)
+  | exception Unix.Unix_error _ -> None
+
 let serve_socket config path =
   (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
   | () -> ()
   | exception _ -> ());
-  let stop = ref false in
+  let stop = Atomic.make false in
   let install s =
-    try Sys.set_signal s (Sys.Signal_handle (fun _ -> stop := true))
+    try Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set stop true))
     with _ -> ()
   in
   install Sys.sigint;
@@ -798,191 +1248,48 @@ let serve_socket config path =
      no socket file behind. *)
   let st = make_state config in
   Fun.protect ~finally:(fun () -> close_state st) @@ fun () ->
-  if Sys.file_exists path then Sys.remove path;
+  claim path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock sock;
-  let conns = ref [] in
+  let lp =
+    {
+      st;
+      sock;
+      stop;
+      lock = Mutex.create ();
+      pending = Queue.create ();
+      ready = Queue.create ();
+      inflight = Hashtbl.create 16;
+      depth = 0;
+      conns = [];
+      drain_deadline = infinity;
+      poller = -1;
+      serving_busy = false;
+      domains = 1;
+      helpers = [];
+      parked = [];
+      next_id = 1;
+      closing = false;
+      fault = None;
+    }
+  in
   (* The socket is bound under a temporary name beside [path] and renamed
      into place once it listens, so a client that sees [path] can
-     connect. *)
+     connect.  On the way out [path] is removed only while it is still
+     this daemon's socket. *)
   let tmp = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
+  let bound = ref None in
   let cleanup () =
-    List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) !conns;
+    List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) lp.conns;
     (try Unix.close sock with _ -> ());
-    List.iter (fun p -> try Sys.remove p with _ -> ()) [ tmp; path ]
+    (try Sys.remove tmp with _ -> ());
+    if !bound <> None && inode path = !bound then
+      try Sys.remove path with _ -> ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   Unix.bind sock (Unix.ADDR_UNIX tmp);
   Unix.listen sock config.backlog;
   Unix.rename tmp path;
-  let pending : cell Queue.t = Queue.create () in
-  let handle_line c line =
-    match decode st line with
-    | None -> ()
-    | Some d -> (
-        let depth = Queue.length pending in
-        let push slot = Queue.push slot c.c_slots in
-        match d with
-        | Reply line -> push (Done line)
-        | Render render ->
-            push
-              (Done
-                 (render
-                    (view st ~conns:(List.length !conns) ~queue_depth:depth)))
-        | Shutdown line ->
-            push (Done line);
-            stop := true
-        | Grade req when depth >= st.config.queue_cap ->
-            (* Hard shed: answer now, never queue, never grade. *)
-            push
-              (Done
-                 (shed st req
-                    [
-                      ("reason", Events.S "queue full");
-                      ("depth", Events.I depth);
-                    ]))
-        | Grade req ->
-            let req =
-              match (st.config.watermark, st.config.shed_fuel) with
-              | Some w, Some sf when depth >= w ->
-                  (* Degraded admission: still served, on the shed
-                     budget.  The clamped fuel is part of the cache
-                     key, so this can't poison full-budget entries. *)
-                  Metrics.record_degraded_admission st.metrics;
-                  let clamped =
-                    match req.g_fuel with Some f -> min f sf | None -> sf
-                  in
-                  emit st ~rid:req.g_rid "degrade"
-                    [ ("fuel", Events.I clamped); ("depth", Events.I depth) ];
-                  { req with g_fuel = Some clamped }
-              | _ -> req
-            in
-            let cell = { w_req = req; w_line = None } in
-            Queue.push cell pending;
-            Metrics.observe_queue_depth st.metrics (Queue.length pending);
-            push (Wait cell))
-  in
-  let read_conn c =
-    while fill c.c_rd do
-      ()
-    done;
-    let rec lines () =
-      match take_buffered_line c.c_rd with
-      | Some l ->
-          handle_line c l;
-          lines ()
-      | None -> ()
-    in
-    lines ()
-  in
-  let run_pending () =
-    if not (Queue.is_empty pending) then begin
-      let cells = List.of_seq (Queue.to_seq pending) in
-      Queue.clear pending;
-      let now = now_ms () in
-      let live, expired =
-        List.partition
-          (fun w ->
-            match w.w_req.g_deadline with
-            | Some d -> (now -. w.w_req.g_enq_ms) /. 1000.0 < d
-            | None -> true)
-          cells
-      in
-      (* Queue-expired requests are shed, not graded: the requester's
-         deadline already passed, and grading on the leftover budget
-         would cache a result keyed as if it ran on the full one. *)
-      let reason = "deadline exceeded while queued" in
-      List.iter
-        (fun w ->
-          w.w_line <-
-            Some
-              (shed st w.w_req ~reason
-                 [
-                   ("reason", Events.S reason);
-                   ("queue_ms", Events.F (now -. w.w_req.g_enq_ms));
-                 ]))
-        expired;
-      List.iter2
-        (fun w line -> w.w_line <- Some line)
-        live
-        (grade_batch st (List.map (fun w -> w.w_req) live))
-    end
-  in
-  let drain_deadline = ref infinity in
-  let rec loop () =
-    if !stop && !drain_deadline = infinity then
-      drain_deadline := now_ms () +. (drain_grace_s *. 1000.0);
-    let rds =
-      if !stop then []
-      else
-        sock
-        :: List.filter_map
-             (fun c ->
-               if (not c.c_rd.eof) && c.c_out_len < out_highwater then
-                 Some c.c_fd
-               else None)
-             !conns
-    in
-    let wrs =
-      List.filter_map
-        (fun c -> if c.c_out_len > 0 then Some c.c_fd else None)
-        !conns
-    in
-    let rready, wready, _ = Sysx.select rds wrs [] 0.2 in
-    if (not !stop) && List.mem sock rready then begin
-      let rec accept_all () =
-        match Sysx.accept sock with
-        | `Conn (fd, _) ->
-            Unix.set_nonblock fd;
-            conns :=
-              {
-                c_fd = fd;
-                c_rd = reader_of_fd fd;
-                c_slots = Queue.create ();
-                c_out = Queue.create ();
-                c_off = 0;
-                c_out_len = 0;
-                c_dead = false;
-              }
-              :: !conns;
-            accept_all ()
-        | `Again -> ()
-      in
-      accept_all ()
-    end;
-    if not !stop then
-      List.iter
-        (fun c -> if List.mem c.c_fd rready then read_conn c)
-        !conns;
-    run_pending ();
-    List.iter
-      (fun c ->
-        promote st c;
-        if c.c_out_len > 0 && (List.mem c.c_fd wready || !stop) then
-          write_conn c)
-      !conns;
-    (* The loop turn is the event log's single writer: admissions,
-       sheds and write-outs accumulated this turn reach disk before
-       the next select sleep. *)
-    Option.iter Events.flush st.events;
-    (* Reap: write-errored connections, and cleanly finished ones (the
-       client hung up and owes/awaits nothing). *)
-    let dead, alive =
-      List.partition
-        (fun c ->
-          c.c_dead
-          || (c.c_rd.eof && Queue.is_empty c.c_slots && c.c_out_len = 0))
-        !conns
-    in
-    List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) dead;
-    conns := alive;
-    let drained =
-      Queue.is_empty pending
-      && List.for_all
-           (fun c -> c.c_out_len = 0 && Queue.is_empty c.c_slots)
-           !conns
-    in
-    if !stop && (drained || now_ms () > !drain_deadline) then ()
-    else loop ()
-  in
-  loop ()
+  bound := inode path;
+  Mutex.lock lp.lock;
+  Fun.protect ~finally:(fun () -> close_loop lp) (fun () -> serve lp)

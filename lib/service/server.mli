@@ -5,14 +5,14 @@
     request (defaults filled in, correlation id minted, admitted), an
     error reply, a shutdown reply, or a renderer for [stats], [metrics]
     or [slowlog] that the loop calls with its own view of the queue.
-    Grade requests are answered in batches by one grading round:
-    resolve each against the content-addressed result cache
-    ({!Normalize} keys into the sharded {!Shards} LRU, duplicates
-    {e within} the batch collapse onto one computation), grade the
-    misses on the pool under one fresh per-request budget each
-    ({!Jfeed_robust.Pipeline.grade_submission}), and produce one
-    response line per request, in request order.  A malformed line
-    costs one [error] response, never the daemon.
+    Both loops answer a grade request through one resolve and reply
+    path: resolve it against the content-addressed result cache
+    ({!Normalize} keys into the sharded {!Shards} LRU; a request whose
+    key is already being graded waits on that computation), grade a
+    miss under one fresh per-request budget
+    ({!Jfeed_robust.Pipeline.grade_submission}), and answer with one
+    response line.  A malformed line costs one [error] response, never
+    the daemon, and so does an exception escaping the pipeline.
 
     {b Stdio / single descriptor} ({!serve_fd}, {!serve_stdio}) — the
     blocking loop, drivable from cram tests and shell pipelines.  It
@@ -23,17 +23,28 @@
     draining, not just [stats] and [shutdown], ends the batch: it is
     decoded and counted when read and answered after every earlier
     grade response, so a [stats] answer there reports queue depth 0.
-    This loop never sheds.
+    The batch's misses are graded on the pool, and the responses go
+    out in request order.  This loop never sheds.
 
     {b Socket daemon} ({!serve_socket}) — a select(2) event loop
-    serving many connections at once.  Each connection keeps a FIFO of
-    slots: a finished line, or an answer cell that a waiting grade
-    request's round fills.  Slots drain in order, so per-connection
-    response order holds while grading rounds batch requests across
-    connections; a slow reader only stalls itself (its output backlog
-    trips flow control and its input waits in the kernel buffer).
-    Control requests answer when read, with the live queue depth.
-    Admission control sheds load past [queue_cap] with an explicit
+    serving many connections at once, run leader/followers style by
+    the grading domains: the serving domain and up to [jobs - 1]
+    helper domains share the loop state under one lock, any free
+    domain runs a loop turn, and a domain that takes a miss grades it
+    outside the lock and then answers it itself, so a miss is graded
+    as soon as a domain is free and answered as soon as it is graded.
+    Helpers are spawned only when work waits while every domain
+    grades, and retire after 16 minor collections parked.  Each
+    connection keeps a FIFO of slots: a finished line, or an answer
+    cell that the request's answer fills.  Slots drain in order, so
+    per-connection response order holds while the cells of different
+    connections fill in any order; a slow reader only stalls itself
+    (its output backlog trips flow control and its input waits in the
+    kernel buffer).  Responses do not depend on [jobs].  Control
+    requests answer when read, with the live queue depth: the grade
+    requests admitted and not yet answered, whether queued, being
+    graded or waiting on a duplicate's grading.  Admission control
+    sheds load past [queue_cap] with an explicit
     [rejected:"overloaded"] line, optionally admitting on a degraded
     fuel budget between [watermark] and the cap, and sheds a request
     whose deadline passed while it was queued; SIGINT/SIGTERM drain
@@ -51,7 +62,10 @@
 type config = {
   cache_cap : int;  (** result-cache entries; [0] disables caching *)
   queue_cap : int;  (** max grade requests held in memory *)
-  jobs : int;  (** pool width for a batch of cache misses *)
+  jobs : int;
+      (** grading domains: the stdio loop's pool width for a batch of
+          misses; the socket daemon's serving domain plus at most
+          [jobs - 1] helpers *)
   fuel : int option;  (** default per-request budget; request may override *)
   deadline_s : float option;
   with_tests : bool;  (** default; request may override *)
@@ -131,15 +145,21 @@ val serve_stdio : config -> unit
     from cram tests and shell pipelines. *)
 
 val serve_socket : config -> string -> unit
-(** Listen on a Unix-domain socket at the given path (unlinked first if
-    stale, removed on exit) and serve connections {e concurrently}
-    through the event loop, sharing cache and metrics across them —
-    connection n+1 hits the results connection n computed.  The
-    durable store and the event log open before the socket is bound,
-    so a refused start (a locked cache directory, say) touches no
-    socket file.  The socket is bound under a temporary name beside
-    the path and renamed onto it once it listens: a client that finds
-    the path can connect.  A [shutdown] request or SIGINT/SIGTERM stops the
+(** Listen on a Unix-domain socket at the given path and serve
+    connections {e concurrently} through the event loop, sharing cache
+    and metrics across them — connection n+1 hits the results
+    connection n computed.  An existing file at the path is probed
+    with a connect: if a daemon accepts, the start is refused with
+    [Failure "socket \"PATH\" is served by another jfeed serve"] and
+    no file is touched; a refused connect means a stale file, which is
+    replaced.  The durable store and the event log open before the
+    socket is bound, so a refused start (a locked cache directory,
+    say) touches no socket file.  The socket is bound under a
+    temporary name beside the path and renamed onto it once it
+    listens: a client that finds the path can connect.  On exit the
+    path is removed only while it is still this daemon's socket (the
+    same inode).  A [shutdown] request or SIGINT/SIGTERM stops the
     daemon gracefully: admitted work finishes, output drains, the
-    durable store is compacted and fsynced.  A client hangup only ends
-    its connection. *)
+    durable store is compacted and fsynced.  Every helper domain is
+    joined before the function returns.  A client hangup only ends its
+    connection. *)

@@ -572,6 +572,30 @@ let test_corpus_pinned () =
         (corpus_digest b))
     Jfeed_kb.Bundles.all
 
+let test_array_heap_bound () =
+  let oom = "OutOfMemoryError: Java heap space" in
+  Alcotest.(check string)
+    "one dimension" oom
+    (err ~args:[] "void f() { int[] a = new int[100000000]; }");
+  Alcotest.(check string)
+    "the product of the dimensions" oom
+    (err ~args:[] "void f() { int[][] a = new int[2049][2048]; }");
+  Alcotest.(check string)
+    "the cells before a zero dimension" oom
+    (err ~args:[] "void f() { int[][] a = new int[100000000][0]; }");
+  Alcotest.(check string)
+    "2^22 cells still allocate" "2048 2048\n"
+    (out ~args:[]
+       "void f() { int[][] a = new int[2048][2048]; \
+        System.out.println(a.length + \" \" + a[2047].length); }");
+  Alcotest.(check string)
+    "nothing past a zero dimension" "0\n"
+    (out ~args:[]
+       "void f() { int[][] a = new int[0][100000000]; System.out.println(a.length); }");
+  Alcotest.(check string)
+    "a negative size still fails as before" "NegativeArraySizeException: -1"
+    (err ~args:[] "void f() { int[][] a = new int[100000000][-1]; }")
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -597,4 +621,5 @@ let suite =
     Alcotest.test_case "accelerated loops: fast path" `Quick test_acceleration_speed;
     Alcotest.test_case "corpus behaviour pinned" `Quick test_corpus_pinned;
     QCheck_alcotest.to_alcotest prop_arith_oracle;
+    Alcotest.test_case "array allocation heap bound" `Quick test_array_heap_bound;
   ]

@@ -1048,6 +1048,160 @@ let test_socket_events_interleaved () =
   check_int "rids are unique across clients" 5
     (List.length (List.sort_uniq compare (List.map rid_of admits)))
 
+(* ------------------------------------------------------------------ *)
+(* The socket daemon's grading domains *)
+
+let start_daemon ?(config = Server.default_config) tag =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "jfeed-%s-%d.sock" tag (Unix.getpid ()))
+  in
+  (path, Domain.spawn (fun () -> Server.serve_socket config path))
+
+let open_conn path =
+  let fd = connect_daemon path in
+  (fd, Unix.in_channel_of_descr fd)
+
+let send_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let send_lines fd lines = send_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let id_of line =
+  match index_of ~sub:{|{"id":"|} line with
+  | Some 0 -> String.sub line 7 (String.index_from line 7 '"' - 7)
+  | _ -> ""
+
+let shut_down (fd, ic) server =
+  send_lines fd [ {|{"op":"shutdown"}|} ];
+  let ack = input_line ic in
+  Domain.join server;
+  (try Unix.close fd with _ -> ());
+  ack
+
+let test_socket_twins_share_a_grading () =
+  let path, server = start_daemon ~config:{ Server.default_config with jobs = 2 } "twins" in
+  let (a_fd, a_ic) = open_conn path in
+  let (b_fd, b_ic) = open_conn path in
+  send_lines a_fd [ grade_line ~id:"a" base_source ];
+  send_lines b_fd [ grade_line ~id:"b" (Mutate.alpha_rename ~seed:5 base_source) ];
+  let a = input_line a_ic and b = input_line b_ic in
+  check "one of the twins is graded, the other served from it" true
+    (List.sort compare [ cached_of a; cached_of b ] = [ false; true ]);
+  check_str "byte-identical payloads" (payload_of a) (payload_of b);
+  send_lines a_fd [ {|{"op":"stats"}|} ];
+  check "stats counts one miss" true
+    (contains ~sub:{|"hits":1,"misses":1|} (input_line a_ic));
+  Unix.close b_fd;
+  ignore (shut_down (a_fd, a_ic) server)
+
+(* A submission that runs into the interpreter's step limit: the loop
+   body branches, so it is not accelerated. *)
+let looping_source =
+  "void lab3p1(int k) { int n = 0; while (n <= k) { if (n >= 0) n = n * 1; } \
+   System.out.println(n); }"
+
+let test_socket_answers_keep_request_order () =
+  let path, server = start_daemon ~config:{ Server.default_config with jobs = 2 } "order" in
+  let (fd, ic) = open_conn path in
+  send_lines fd [ grade_line ~id:"warm" base_source ];
+  check "the warm-up is a miss" false (cached_of (input_line ic));
+  send_lines fd
+    [
+      Printf.sprintf
+        {|{"op":"grade","id":"loop","assignment":"esc-LAB-3-P1-V1","source":"%s"}|}
+        (Jfeed_trace.Trace.json_escape looping_source);
+      grade_line ~id:"hit" (Mutate.whitespace ~seed:2 base_source);
+      {|{"op":"stats","id":"s"}|};
+    ];
+  let answers = List.init 3 (fun _ -> input_line ic) in
+  Alcotest.(check (list string)) "answers in request order" [ "loop"; "hit"; "s" ]
+    (List.map id_of answers);
+  check "the step-limit miss was graded" false (cached_of (List.nth answers 0));
+  check "the twin was a hit" true (cached_of (List.nth answers 1));
+  ignore (shut_down (fd, ic) server)
+
+let test_socket_shutdown_answers_inflight () =
+  let path, server = start_daemon ~config:{ Server.default_config with jobs = 2 } "drain" in
+  let (fd, ic) = open_conn path in
+  let ids = List.init 4 (fun i -> Printf.sprintf "m%d" i) in
+  send_lines fd
+    (List.mapi
+       (fun i id ->
+         grade_line ~id (Spec.source_of_index Bundles.assignment1.Bundles.gen (3 + (i * 13))))
+       ids
+    @ [ {|{"op":"shutdown","id":"bye"}|} ]);
+  let answers = List.init 5 (fun _ -> input_line ic) in
+  Alcotest.(check (list string)) "every miss answered before the shutdown"
+    (ids @ [ "bye" ]) (List.map id_of answers);
+  check "the misses were graded" true
+    (List.for_all (fun l -> not (cached_of l)) (List.filteri (fun i _ -> i < 4) answers));
+  check "then the daemon closes the connection" true
+    (match input_line ic with exception End_of_file -> true | _ -> false);
+  Domain.join server;
+  Unix.close fd;
+  check "socket unlinked on exit" false (Sys.file_exists path)
+
+let test_socket_jobs_invariant () =
+  let src i = Spec.source_of_index Bundles.assignment1.Bundles.gen (i * 17) in
+  let fresh = Array.init 6 src in
+  check_int "distinct submissions have distinct keys" 6
+    (List.length (List.sort_uniq compare (Array.to_list (Array.map key fresh))));
+  (* Connection k grades two fresh submissions, an α-twin of its first,
+     an unparseable source of its own and an unknown assignment; then,
+     once everything is answered, twins of the other connections'
+     submissions, which are cache hits at any width. *)
+  let first k =
+    [
+      grade_line ~id:(Printf.sprintf "c%d-a" k) fresh.(2 * k);
+      grade_line ~id:(Printf.sprintf "c%d-twin" k) (Mutate.alpha_rename ~seed:k fresh.(2 * k));
+      grade_line ~id:(Printf.sprintf "c%d-b" k) fresh.((2 * k) + 1);
+      grade_line ~id:(Printf.sprintf "c%d-bad" k) (Printf.sprintf "class Broken%d {" k);
+      Printf.sprintf {|{"op":"grade","id":"c%d-nope","assignment":"nope","source":"x"}|} k;
+    ]
+  in
+  let second k =
+    [
+      grade_line ~id:(Printf.sprintf "c%d-x" k)
+        (Mutate.rename_and_reflow ~seed:k fresh.(2 * ((k + 1) mod 3)));
+      grade_line ~id:(Printf.sprintf "c%d-y" k)
+        (Mutate.whitespace ~seed:k fresh.((2 * ((k + 2) mod 3)) + 1));
+    ]
+  in
+  let run jobs =
+    let path, server =
+      start_daemon ~config:{ Server.default_config with jobs } (Printf.sprintf "inv%d" jobs)
+    in
+    let conns = Array.init 3 (fun _ -> open_conn path) in
+    let phase lines =
+      Array.iteri (fun k (fd, _) -> send_lines fd (lines k)) conns;
+      Array.mapi (fun k (_, ic) -> List.map (fun _ -> input_line ic) (lines k)) conns
+    in
+    let one = phase first in
+    let two = phase second in
+    Array.iteri (fun k (fd, _) -> if k > 0 then Unix.close fd) conns;
+    ignore (shut_down conns.(0) server);
+    Array.map2 ( @ ) one two
+  in
+  let base = run 1 in
+  check "every fresh submission was a miss at --jobs 1" true
+    (Array.for_all
+       (fun answers -> not (cached_of (List.hd answers)))
+       base);
+  List.iter
+    (fun jobs ->
+      Array.iteri
+        (fun k answers ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "connection %d at --jobs %d" k jobs)
+            base.(k) answers)
+        (run jobs))
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "json values parse" `Quick test_json_values;
@@ -1104,4 +1258,12 @@ let suite =
       test_socket_events_interleaved;
     Alcotest.test_case "metrics table: one row per family and path" `Quick
       test_metrics_table;
+    Alcotest.test_case "alpha-twins on two connections share a grading" `Slow
+      test_socket_twins_share_a_grading;
+    Alcotest.test_case "one connection's answers keep request order" `Slow
+      test_socket_answers_keep_request_order;
+    Alcotest.test_case "shutdown answers the misses in flight" `Slow
+      test_socket_shutdown_answers_inflight;
+    Alcotest.test_case "socket answers are jobs-invariant" `Slow
+      test_socket_jobs_invariant;
   ]
