@@ -477,9 +477,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
-            "Listen on a Unix-domain socket at $(docv) instead of \
-             stdin/stdout; connections are served concurrently and share \
-             the cache.")
+            "Listen on a Unix-domain socket at $(docv) instead of serving \
+             stdin/stdout as the one connection; connections are served \
+             concurrently by the same loop and share the cache.")
   in
   let cache_cap =
     Arg.(
@@ -494,9 +494,10 @@ let serve_cmd =
       & opt int Jfeed_service.Server.default_config.queue_cap
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
-            "Maximum grade requests held in memory at once.  On stdin, \
-             further lines wait in the kernel pipe buffer; the socket \
-             daemon answers them rejected:\"overloaded\".")
+            "Maximum grade requests admitted and not yet answered.  On \
+             stdin, further lines wait in the pipe until an answer frees \
+             a place; the socket daemon answers them \
+             rejected:\"overloaded\".")
   in
   let jobs =
     Arg.(
@@ -504,9 +505,8 @@ let serve_cmd =
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Grade cache misses on up to N domains, the serving one \
-             included.  The socket daemon grows its N - 1 helper domains \
-             only when work waits while every domain grades; the stdio \
-             loop grades each batch on a pool of N.")
+             included.  The N - 1 helper domains grow only when work \
+             waits while every domain grades.")
   in
   let fuel =
     Arg.(
@@ -553,8 +553,9 @@ let serve_cmd =
       & opt int Jfeed_service.Server.default_config.shards
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Result-cache shard count.  Lookups are shard-count-invariant; \
-             this only tunes lock granularity.")
+            "Result-cache shard count.  Lookups are shard-count-invariant, \
+             and every lookup already runs under the serving loop's one \
+             lock, so this only routes keys.")
   in
   let watermark =
     Arg.(
@@ -563,8 +564,8 @@ let serve_cmd =
       & info [ "watermark" ] ~docv:"N"
           ~doc:
             "Queue depth from which grade requests are admitted on the \
-             degraded --shed-fuel budget instead of their own (socket \
-             mode; requires --shed-fuel).")
+             degraded --shed-fuel budget instead of their own (requires \
+             --shed-fuel).")
   in
   let shed_fuel =
     Arg.(

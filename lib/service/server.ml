@@ -3,7 +3,6 @@
 module Bundles = Jfeed_kb.Bundles
 module Pipeline = Jfeed_robust.Pipeline
 module Outcome = Jfeed_robust.Outcome
-module Pool = Jfeed_parallel.Pool
 module Trace = Jfeed_trace.Trace
 module Events = Jfeed_trace.Events
 
@@ -67,23 +66,24 @@ let slow_threshold c =
   match c.slow_ms with Some _ as s -> s | None -> c.slo_ms
 
 (* ------------------------------------------------------------------ *)
-(* Non-blocking-capable line reader.
+(* Line reader.  A loop turn reads once per select readiness, so it
+   never blocks on a descriptor, and takes whole lines only; a
+   half-written line waits in the buffer for its newline. *)
 
-   The loop must distinguish "a full line is available right now" (keep
-   filling the batch) from "the client is waiting for answers" (stop and
-   grade), so input is buffered here rather than through stdlib
-   channels: [read_line] blocks, [poll_line] only consumes what a
-   0-timeout [select] says is ready. *)
+let max_line = 1 lsl 20
 
 type reader = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
   mutable start : int;  (* first unconsumed byte *)
   mutable len : int;  (* unconsumed byte count *)
+  mutable scanned : int;  (* leading unconsumed bytes without a newline *)
+  mutable skipping : bool;  (* discarding an overlong line *)
   mutable eof : bool;
 }
 
-let reader_of_fd fd = { fd; buf = Bytes.create 65536; start = 0; len = 0; eof = false }
+let reader_of_fd fd =
+  { fd; buf = Bytes.create 65536; start = 0; len = 0; scanned = 0; skipping = false; eof = false }
 
 let compact r =
   if r.start > 0 then begin
@@ -93,68 +93,56 @@ let compact r =
   if r.len = Bytes.length r.buf then
     r.buf <- Bytes.extend r.buf 0 (Bytes.length r.buf)
 
-(* One [read(2)]; true when it brought bytes.  False means end of input
-   (which sets [eof]) or, on a non-blocking descriptor, nothing ready. *)
+(* One [read(2)]; end of input sets [eof]. *)
 let fill r =
   compact r;
   match Sysx.read r.fd r.buf (r.start + r.len) (Bytes.length r.buf - r.start - r.len) with
-  | `Read 0 ->
-      r.eof <- true;
-      false
-  | `Read n ->
-      r.len <- r.len + n;
-      true
-  | `Again -> false
+  | `Read 0 -> r.eof <- true
+  | `Read n -> r.len <- r.len + n
+  | `Again -> ()
 
-let readable_now fd =
-  match Sysx.select [ fd ] [] [] 0.0 with
-  | [ _ ], _, _ -> true
-  | _ -> false
+type line = Line of string | Overlong
 
-let take_buffered_line r =
+let consume r n =
+  r.start <- r.start + n;
+  r.len <- r.len - n;
+  r.scanned <- 0
+
+(* The next whole line without its newline (or [\r\n]), or at end of
+   input the final line without one.  A line longer than [max_line] is
+   [Overlong], reported as soon as its length shows; its bytes are
+   discarded through its newline.  Each byte is searched once. *)
+let rec take_line r =
+  let stop = r.start + r.len in
   let rec find i =
-    if i >= r.start + r.len then None
-    else if Bytes.get r.buf i = '\n' then Some i
-    else find (i + 1)
+    if i >= stop then None else if Bytes.get r.buf i = '\n' then Some i else find (i + 1)
   in
-  match find r.start with
+  match find (r.start + r.scanned) with
+  | Some nl when r.skipping ->
+      r.skipping <- false;
+      consume r (nl - r.start + 1);
+      take_line r
+  | Some nl when nl - r.start > max_line ->
+      consume r (nl - r.start + 1);
+      Some Overlong
   | Some nl ->
-      let strip = if nl > r.start && Bytes.get r.buf (nl - 1) = '\r' then 1 else 0 in
-      let line = Bytes.sub_string r.buf r.start (nl - r.start - strip) in
-      r.len <- r.len - (nl - r.start + 1);
-      r.start <- nl + 1;
-      Some line
+      let n = nl - r.start in
+      let strip = if n > 0 && Bytes.get r.buf (nl - 1) = '\r' then 1 else 0 in
+      let line = Bytes.sub_string r.buf r.start (n - strip) in
+      consume r (n + 1);
+      Some (Line line)
+  | None when r.skipping || r.len > max_line ->
+      let fresh = not r.skipping in
+      consume r r.len;
+      r.skipping <- not r.eof;
+      if fresh then Some Overlong else None
+  | None when r.eof && r.len > 0 ->
+      let line = Bytes.sub_string r.buf r.start r.len in
+      consume r r.len;
+      Some (Line line)
   | None ->
-      if r.eof && r.len > 0 then begin
-        (* final line without a newline *)
-        let line = Bytes.sub_string r.buf r.start r.len in
-        r.start <- 0;
-        r.len <- 0;
-        Some line
-      end
-      else None
-
-(* Blocking descriptors only (the stdio path); [`Again] can't happen
-   there, but if it ever did the select-wait turns it into a retry, not
-   a spin. *)
-let rec read_line r =
-  match take_buffered_line r with
-  | Some line -> Some line
-  | None when r.eof -> None
-  | None ->
-      if not (fill r || r.eof) then ignore (Sysx.select [ r.fd ] [] [] (-1.0));
-      read_line r
-
-let rec poll_line r =
-  match take_buffered_line r with
-  | Some line -> Some line
-  | None ->
-      if r.eof then None
-      else if readable_now r.fd then begin
-        ignore (fill r);
-        poll_line r
-      end
-      else None
+      r.scanned <- r.len;
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Server state and request handling                                   *)
@@ -307,8 +295,8 @@ type miss = {
 }
 
 (* A grade request after its cache lookup.  [Fresh] still has to be
-   graded, unless a computation of the same key is already under way;
-   each loop keeps its own table of those. *)
+   graded, unless a computation of the same key is already under way
+   (the loop's [inflight] table). *)
 type resolved =
   | Err of string
   | Hit of entry * float  (* lookup ms *)
@@ -321,9 +309,8 @@ type resolved =
 let now_ms () = Int64.to_float (Trace.now_ns ()) /. 1e6
 
 (* Emit one lifecycle event iff the daemon has an event log and the
-   request a correlation id.  Every call site runs with the serving
-   state to itself (the stdio loop's one domain, or the socket loop's
-   lock), matching the ring's one-writer contract. *)
+   request a correlation id.  Every call site holds the loop's lock,
+   matching the ring's one-writer contract. *)
 let emit st ~rid ev attrs =
   match (st.events, rid) with
   | Some e, Some rid -> Events.emit e ~rid ~ev attrs
@@ -485,52 +472,10 @@ let answer_dup st r = function
       reply st r e ~cached:true ~ms
         [ ("cache_hit", [ ("ms", Events.F ms); ("dup", Events.I 1) ]) ]
 
-(* The stdio loop's grading round: one batch against the cache + pool,
-   one response line per request, in request order.  Duplicates within
-   the batch collapse onto one computation. *)
-let grade_batch st (batch : grade_req list) : string list =
-  Metrics.observe_queue_depth st.metrics (List.length batch);
-  let misses = ref [] in
-  let n_misses = ref 0 in
-  let inflight = Hashtbl.create 16 in
-  let resolved =
-    List.map
-      (fun r ->
-        match resolve st r with
-        | Fresh m -> (
-            match Hashtbl.find_opt inflight m.m_key with
-            | Some i -> (r, `Dup i)
-            | None ->
-                let i = !n_misses in
-                Hashtbl.add inflight m.m_key i;
-                incr n_misses;
-                misses := sampled st m :: !misses;
-                (r, `Miss i))
-        | Err msg -> (r, `Err msg)
-        | Hit (e, ms) -> (r, `Hit (e, ms)))
-      batch
-  in
-  let miss_arr = Array.of_list (List.rev !misses) in
-  (* The parallel part: only genuine cache misses reach the pool, each
-     with its own fresh budget (jobs-invariant, like the batch CLI). *)
-  let results =
-    Pool.map ~jobs:st.config.jobs ~f:(grade_guarded st.config) miss_arr
-  in
-  let lines =
-    List.map
-      (fun (r, res) ->
-        match res with
-        | `Err msg -> answer_error st r msg
-        | `Hit (e, ms) -> answer_hit st r e ~ms
-        | `Miss i -> answer_miss st miss_arr.(i) results.(i)
-        | `Dup i -> answer_dup st r results.(i))
-      resolved
-  in
-  Option.iter Events.flush st.events;
-  lines
 
 (* What a stats or metrics request sees beyond the counters; [conns]
-   is given by the socket daemon alone, which adds the serving tier. *)
+   is given by a daemon with a listener alone, which adds the serving
+   tier. *)
 let view ?conns st ~queue_depth =
   {
     Metrics.cache_size = Shards.size st.cache;
@@ -564,42 +509,50 @@ let view ?conns st ~queue_depth =
 (* One request line, decoded and counted. *)
 type decoded =
   | Grade of grade_req  (* admitted: defaults filled, rid minted *)
-  | Reply of string  (* the error line of a request that didn't decode *)
+  | Answer of (Metrics.view -> string)
+      (* stats, metrics, slowlog, or the error line of a request that
+         didn't decode *)
   | Shutdown of string
-  | Render of (Metrics.view -> string)  (* stats, metrics or slowlog *)
 
-(* The decoder both loops call; [None] for a blank line, which is
-   neither counted nor answered.  A control request is counted here and
-   renders when its loop calls it back, with that loop's view.
+(* [None] for a blank line, which is neither counted nor answered.
+   Every other line is counted here; the answer of a non-grade line
+   renders when the loop calls it back, with the loop's view.  A line
+   past [max_line] is answered like one that doesn't decode.
 
    Request fields override the server defaults; an absent field means
    "whatever the daemon was started with".  The correlation id is the
    client's when supplied, else minted here — at admission — when
    telemetry is on; either way it is echoed in the response and stamps
    every event and retained trace of this request's lifecycle. *)
-let decode st line =
-  if String.trim line = "" then None
-  else begin
+let decode st = function
+  | Line l when String.trim l = "" -> None
+  | line ->
     Metrics.record_request st.metrics;
+    let request =
+      match line with
+      | Line l -> Proto.request_of_line l
+      | Overlong -> Error (None, Printf.sprintf "request line longer than %d bytes" max_line)
+    in
     Some
-      (match Proto.request_of_line line with
+      (match request with
       | Error (id, msg) ->
           Metrics.record_error st.metrics;
-          Reply (Proto.error_response ?id msg)
+          let line = Proto.error_response ?id msg in
+          Answer (fun _ -> line)
       | Ok (Proto.Shutdown { id }) -> Shutdown (Proto.shutdown_response ?id ())
       | Ok (Proto.Stats { id }) ->
           Metrics.record_stats_req st.metrics;
-          Render
+          Answer
             (fun v -> Proto.stats_response ?id (Metrics.stats st.metrics v))
       | Ok (Proto.Metrics { id = _ }) ->
           (* The one multi-line response: a Prometheus exposition block,
              "# EOF"-terminated (see Proto).  Counted as a stats-class
              request. *)
           Metrics.record_stats_req st.metrics;
-          Render (Metrics.exposition st.metrics)
+          Answer (Metrics.exposition st.metrics)
       | Ok (Proto.Slowlog { id }) ->
           Metrics.record_stats_req st.metrics;
-          Render
+          Answer
             (fun _ -> Proto.slowlog_response ?id (Metrics.slowlog st.metrics))
       | Ok (Proto.Grade g) ->
           let config = st.config in
@@ -627,106 +580,49 @@ let decode st line =
                 Option.value ~default:config.with_tests g.with_tests;
               g_enq_ms = now_ms ();
             })
-  end
-
-(* The stdio loop: one blocking read, then the grade lines that are
-   ready now, at most [queue_cap], graded as one batch; the rest wait
-   in the pipe.  Any other line met while draining ends the batch and
-   is answered after it, so responses keep request order — a stats or
-   metrics answer there sees queue depth 0 by construction (the live
-   depths show up on the socket daemon, where stats overtakes queued
-   work). *)
-let serve_connection st r oc =
-  let send lines =
-    List.iter
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n')
-      lines;
-    flush oc
-  in
-  let rec drain batch n =
-    if n >= st.config.queue_cap then (batch, None)
-    else
-      match poll_line r with
-      | None -> (batch, None)
-      | Some l -> (
-          match decode st l with
-          | None -> drain batch n
-          | Some (Grade g) -> drain (g :: batch) (n + 1)
-          | Some d -> (batch, Some d))
-  in
-  let rec handle = function
-    | Grade g -> (
-        let batch, barrier = drain [ g ] 1 in
-        send (grade_batch st (List.rev batch));
-        match barrier with Some d -> handle d | None -> loop ())
-    | Reply line ->
-        send [ line ];
-        loop ()
-    | Render render ->
-        send [ render (view st ~queue_depth:0) ];
-        loop ()
-    | Shutdown line ->
-        send [ line ];
-        `Shutdown
-  and loop () =
-    match read_line r with
-    | None -> `Eof
-    | Some l -> ( match decode st l with Some d -> handle d | None -> loop ())
-  in
-  try loop () with Sys_error _ -> `Eof
-
-let serve_fd config fd oc =
-  let st = make_state config in
-  let outcome = serve_connection st (reader_of_fd fd) oc in
-  close_state st;
-  outcome
-
-let serve_stdio config =
-  ignore (serve_fd config Unix.stdin stdout)
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent socket daemon.
+(* The serving loop.
 
-   One select(2) event loop multiplexes the listener and every open
-   connection.  The domains that grade share it, leader/followers
-   style: all loop state sits under one lock, any free domain runs a
-   loop turn, and a domain that takes a miss grades it outside the lock
-   and then answers it itself — cache insert, store append, events,
-   answer cell and write-out — so no response waits for a hand-off
-   between domains.
+   One select(2) event loop multiplexes the listener, if any, and every
+   open connection: a socket daemon's clients, or the one stdin/stdout
+   connection of a daemon without a listener.  The domains that grade
+   share it, leader/followers style: all loop state sits under one
+   lock, any free domain runs a loop turn, and a domain that takes a
+   miss grades it outside the lock and then answers it itself — cache
+   insert, store append, events, answer cell and write-out — so no
+   response waits for a hand-off between domains.
 
-   - Per-connection response order is kept by a FIFO of slots: a slot
-     is either a finished line (errors, control answers, queue-full
-     sheds) or an answer cell that the request's answer fills.  Slots
-     drain front-to-back, so a stats response never overtakes an
-     earlier grade response on the same connection, while the cells of
+   - Per-connection response order is kept by a FIFO of slots: a
+     queue-full shed's line, or an answer cell that the request's
+     answer fills.  Slots drain front-to-back, while the cells of
      different connections fill in any order.
+   - Every non-grade line (stats, metrics, slowlog, shutdown, an error)
+     is a barrier on its connection: it renders once every earlier
+     slot has drained, and the connection's later lines wait in its
+     read buffer until then.  A stats answer thus counts every earlier
+     request of its connection.
    - Admission control bounds memory: at most [queue_cap] grade
      requests are admitted and unanswered at once (queued, being
-     graded, or waiting on the grading of the same key); a grade line
-     past that is refused on the spot with a [rejected:"overloaded"]
-     response.  Past [watermark] (when set, with [shed_fuel]), requests
-     are still admitted but on the degraded fuel budget: the
-     degradation ladder applied at the front door.  The fuel override
-     is part of the cache key, so degraded results never impersonate
-     full-budget ones.
+     graded, or waiting on the grading of the same key).  With a
+     listener, a grade line past that is refused on the spot with a
+     [rejected:"overloaded"] response; without one, the daemon stops
+     taking lines, which wait in the read buffer and the pipe.  Past
+     [watermark] (with [shed_fuel]) requests are admitted on the
+     degraded fuel budget, which is part of the cache key.
    - A request that waited longer than its own deadline is shed when a
-     domain resolves it, not graded with a stale budget: grading it
-     anyway would poison the cache with a result keyed as full-budget
-     but computed after the requester gave up.
+     domain resolves it, not graded with a stale budget that would
+     poison the cache.
    - Flow control: a connection whose output backlog exceeds
-     {!out_highwater} stops being read (and so stops being admitted)
-     until the client drains; its kernel-buffered input just waits.
-   - SIGINT/SIGTERM set a stop flag (checked every loop turn; the
-     finite select timeout bounds the latency): the listener closes,
-     reads stop, admitted requests finish, output drains (with a grace
-     period), the durable store is compacted + fsynced, the socket
-     path unlinked.
+     {!out_highwater} is not read until the client drains.
+   - The loop stops on a shutdown request, on SIGINT/SIGTERM (a flag
+     checked every loop turn), or, without a listener, once its
+     connection is gone.  Then no further line is admitted, admitted
+     requests finish, output drains (with a grace period), the durable
+     store is compacted + fsynced, the socket path unlinked.
 
-   The domains: the serving domain (the one that called
-   [serve_socket]) and at most [jobs - 1] helpers.
+   The domains: the serving domain (the caller) and at most [jobs - 1]
+   helpers.
 
    - A free domain resolves the admitted requests in admission order
      and takes the oldest miss to grade; everything else (an error, a
@@ -736,12 +632,15 @@ let serve_stdio config =
      turn that accepts, reads, admits and writes.  A helper polls only
      while the serving domain is grading, and parks otherwise.  When
      the serving domain frees up while a helper polls, it takes polling
-     back and polls itself.  The helper, still in its select, wakes on
-     the same input (or after [poll_s]) and leaves the events to it.
-     Nothing wakes it sooner: a pipe write would, but a pipe wakes its
-     reader with a "sync" hint that lets Linux queue the helper on the
-     writer's CPU (see park_stubs.c), and the next wake-up then held
-     the serving domain off its CPU (1.6 ms at p99 on fresh-static).
+     back.  The helper, still in its select, wakes on the same input
+     (or after [poll_s]) and leaves the events to it.  Nothing wakes it
+     sooner: a pipe would, but a pipe wakes its reader with a "sync"
+     hint that lets Linux queue the helper on the writer's CPU, and the
+     next wake-up then held the serving domain off its CPU (1.6 ms at
+     p99 on fresh-static).
+   - A poller with nothing to watch while another domain grades waits
+     for an answered miss on a condition variable, not in a select
+     that only its timeout would end.
    - A domain that takes a miss while no domain polls wakes one parked
      helper, which takes the next queued request or polls.
    - Helpers grow on demand.  A domain that finishes a miss while no
@@ -752,9 +651,10 @@ let serve_stdio config =
      domain.
    - Every domain joins every stop-the-world minor collection, so a
      helper that stays parked through [retire_after] of them retires.
-     The polling domain, which wakes at least every [poll_s], counts. *)
+     The polling domain counts them. *)
 
 let out_highwater = 4 * 1024 * 1024
+let held_input = 65536
 let drain_grace_s = 5.0
 let poll_s = 0.2
 let retire_after = 16
@@ -765,13 +665,15 @@ type cell = { w_req : grade_req; w_conn : conn; mutable w_line : string option }
 and slot = Done of string | Wait of cell
 
 and conn = {
-  c_fd : Unix.file_descr;
   c_rd : reader;
+  c_wr : Unix.file_descr;  (* the client's socket, or stdout's duplicate *)
   c_slots : slot Queue.t;
+  mutable c_held : (Metrics.view -> string) option;
+      (* a barrier's answer, rendered once [c_slots] is empty *)
   c_out : string Queue.t;  (* response bytes not yet written *)
   mutable c_off : int;  (* written prefix of the head string *)
   mutable c_out_len : int;  (* total unwritten bytes *)
-  mutable c_dead : bool;
+  mutable c_dead : bool;  (* a write failed, or closed *)
 }
 
 type wake = Busy | Parked of int (* minor collections at parking *) | Woken | Retired
@@ -786,15 +688,18 @@ type helper = {
 
 type loop = {
   st : state;
-  sock : Unix.file_descr;
+  sock : Unix.file_descr option;  (* the listener, if any *)
   stop : bool Atomic.t;
   lock : Mutex.t;  (* over everything below, and [st] *)
+  answered : Condition.t;  (* broadcast when a miss is answered *)
   pending : cell Queue.t;  (* admitted, not yet resolved *)
   ready : (cell * miss) Queue.t;  (* resolved misses no domain has taken *)
   inflight : (string, cell list ref) Hashtbl.t;
       (* key being graded -> the requests waiting on it, latest first *)
   mutable depth : int;  (* grade requests admitted and not yet answered *)
+  mutable grading : int;  (* domains grading a miss *)
   mutable conns : conn list;
+  mutable shut : bool;  (* a shutdown request was admitted *)
   mutable drain_deadline : float;
   mutable poller : int;  (* the polling domain's id; -1 when none polls *)
   mutable serving_busy : bool;
@@ -806,15 +711,20 @@ type loop = {
   mutable fault : exn option;  (* escaped a helper; the serving domain re-raises it *)
 }
 
+let new_conn rd wr =
+  { c_rd = reader_of_fd rd; c_wr = wr; c_slots = Queue.create (); c_held = None;
+    c_out = Queue.create (); c_off = 0; c_out_len = 0; c_dead = false }
+
 let push_out c line =
   Queue.push (line ^ "\n") c.c_out;
   c.c_out_len <- c.c_out_len + String.length line + 1
 
-(* Move every leading answered slot onto the output queue.  The write
-   event marks a queued request's hand-off to the connection's output
-   buffer — the end of the server-side lifecycle (the remaining latency
-   is the socket and the client's reader). *)
-let promote st c =
+(* Move every leading answered slot onto the output queue, then, once
+   the FIFO is empty, render the held barrier.  The write event marks a
+   queued request's hand-off to the connection's output buffer — the
+   end of the server-side lifecycle (the remaining latency is the
+   descriptor and the client's reader). *)
+let promote lp c =
   let rec go () =
     match Queue.peek_opt c.c_slots with
     | Some (Done line) ->
@@ -823,11 +733,21 @@ let promote st c =
         go ()
     | Some (Wait { w_req; w_line = Some line; _ }) ->
         ignore (Queue.pop c.c_slots);
-        emit st ~rid:w_req.g_rid "write"
+        emit lp.st ~rid:w_req.g_rid "write"
           [ ("bytes", Events.I (String.length line + 1)) ];
         push_out c line;
         go ()
-    | Some (Wait { w_line = None; _ }) | None -> ()
+    | Some (Wait { w_line = None; _ }) -> ()
+    | None ->
+        Option.iter
+          (fun render ->
+            c.c_held <- None;
+            push_out c
+              (render
+                 (view lp.st
+                    ?conns:(Option.map (fun _ -> List.length lp.conns) lp.sock)
+                    ~queue_depth:lp.depth)))
+          c.c_held
   in
   go ()
 
@@ -836,7 +756,7 @@ let rec write_conn c =
   | None -> ()
   | Some head -> (
       let len = String.length head - c.c_off in
-      match Sysx.write c.c_fd (Bytes.unsafe_of_string head) c.c_off len with
+      match Sysx.write c.c_wr (Bytes.unsafe_of_string head) c.c_off len with
       | `Wrote n ->
           c.c_out_len <- c.c_out_len - n;
           if n = len then begin
@@ -864,111 +784,109 @@ let unlocked lp f =
   Mutex.unlock lp.lock;
   Fun.protect ~finally:(fun () -> Mutex.lock lp.lock) f
 
-(* A connection whose client hung up and that owes and awaits nothing. *)
-let finished c = c.c_rd.eof && Queue.is_empty c.c_slots && c.c_out_len = 0
+(* A connection whose input has ended and that owes and awaits nothing. *)
+let finished c =
+  c.c_rd.eof && c.c_rd.len = 0 && Queue.is_empty c.c_slots
+  && Option.is_none c.c_held && c.c_out_len = 0
 
+let close_fds c =
+  (try Unix.close c.c_rd.fd with _ -> ());
+  if c.c_wr <> c.c_rd.fd then try Unix.close c.c_wr with _ -> ()
+
+(* A daemon without a listener stops with its connection. *)
 let close_conns lp cs =
-  List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) cs;
-  lp.conns <- List.filter (fun c -> not (List.memq c cs)) lp.conns
+  List.iter (fun c -> c.c_dead <- true; close_fds c) cs;
+  lp.conns <- List.filter (fun c -> not (List.memq c cs)) lp.conns;
+  if lp.sock = None && lp.conns = [] then Atomic.set lp.stop true
+
+(* Whether [c]'s next line may be admitted: not once the loop stops,
+   not behind a held barrier, and, without a listener, not at the
+   queue cap. *)
+let admitting lp c =
+  Option.is_none c.c_held
+  && (not c.c_dead)
+  && (not (Atomic.get lp.stop))
+  && (lp.sock <> None || lp.depth < lp.st.config.queue_cap)
+
+let admit lp c d =
+  let st = lp.st in
+  let depth = lp.depth in
+  let push slot = Queue.push slot c.c_slots in
+  match d with
+  | Answer render -> c.c_held <- Some render
+  | Shutdown line ->
+      c.c_held <- Some (fun _ -> line);
+      lp.shut <- true;
+      Atomic.set lp.stop true
+  | Grade req when depth >= st.config.queue_cap ->
+      (* Hard shed: answer now, never queue, never grade. *)
+      push
+        (Done
+           (shed st req
+              [ ("reason", Events.S "queue full"); ("depth", Events.I depth) ]))
+  | Grade req ->
+      let req =
+        match (st.config.watermark, st.config.shed_fuel) with
+        | Some w, Some sf when depth >= w ->
+            (* Degraded admission: still served, on the shed budget.
+               The clamped fuel is part of the cache key, so this can't
+               poison full-budget entries. *)
+            Metrics.record_degraded_admission st.metrics;
+            let clamped =
+              match req.g_fuel with Some f -> min f sf | None -> sf
+            in
+            emit st ~rid:req.g_rid "degrade"
+              [ ("fuel", Events.I clamped); ("depth", Events.I depth) ];
+            { req with g_fuel = Some clamped }
+        | _ -> req
+      in
+      let cell = { w_req = req; w_conn = c; w_line = None } in
+      Queue.push cell lp.pending;
+      lp.depth <- depth + 1;
+      Metrics.observe_queue_depth st.metrics lp.depth;
+      push (Wait cell)
+
+(* Admit [c]'s buffered lines while it may, and queue what is answered
+   for output. *)
+let rec pump lp c =
+  promote lp c;
+  if admitting lp c then
+    match take_line c.c_rd with
+    | Some l ->
+        Option.iter (admit lp c) (decode lp.st l);
+        pump lp c
+    | None -> ()
 
 (* Fill a cell: its request leaves the admission count, and its
-   connection's leading answers go out now, from the domain that
-   answered it.  A client that half-closed its end waits for ours to
-   close, so a connection finished by this answer closes now, not at
-   the next poll turn.  A connection that failed a write (and may be
-   closed already) takes nothing more. *)
+   connection takes in the lines that now may be admitted and writes
+   out its leading answers, from the domain that answered it.  A client
+   that half-closed its end waits for ours to close, so a connection
+   finished by this answer closes now, not at the next poll turn.  A
+   connection that failed a write, or is closed, takes nothing more. *)
 let settle lp w line =
   w.w_line <- Some line;
   lp.depth <- lp.depth - 1;
   let c = w.w_conn in
   if not c.c_dead then begin
-    promote lp.st c;
+    pump lp c;
     write_conn c;
-    if finished c then close_conns lp [ c ]
+    if c.c_dead || finished c then close_conns lp [ c ]
   end
 
-let admit lp c line =
-  let st = lp.st in
-  match decode st line with
-  | None -> ()
-  | Some d -> (
-      let depth = lp.depth in
-      let push slot = Queue.push slot c.c_slots in
-      match d with
-      | Reply line -> push (Done line)
-      | Render render ->
-          push
-            (Done
-               (render
-                  (view st ~conns:(List.length lp.conns) ~queue_depth:depth)))
-      | Shutdown line ->
-          push (Done line);
-          Atomic.set lp.stop true
-      | Grade req when depth >= st.config.queue_cap ->
-          (* Hard shed: answer now, never queue, never grade. *)
-          push
-            (Done
-               (shed st req
-                  [ ("reason", Events.S "queue full"); ("depth", Events.I depth) ]))
-      | Grade req ->
-          let req =
-            match (st.config.watermark, st.config.shed_fuel) with
-            | Some w, Some sf when depth >= w ->
-                (* Degraded admission: still served, on the shed
-                   budget.  The clamped fuel is part of the cache key,
-                   so this can't poison full-budget entries. *)
-                Metrics.record_degraded_admission st.metrics;
-                let clamped =
-                  match req.g_fuel with Some f -> min f sf | None -> sf
-                in
-                emit st ~rid:req.g_rid "degrade"
-                  [ ("fuel", Events.I clamped); ("depth", Events.I depth) ];
-                { req with g_fuel = Some clamped }
-            | _ -> req
-          in
-          let cell = { w_req = req; w_conn = c; w_line = None } in
-          Queue.push cell lp.pending;
-          lp.depth <- depth + 1;
-          Metrics.observe_queue_depth st.metrics lp.depth;
-          push (Wait cell))
-
-let read_conn lp c =
-  while fill c.c_rd do
-    ()
-  done;
-  let rec lines () =
-    match take_buffered_line c.c_rd with
-    | Some l ->
-        admit lp c l;
-        lines ()
-    | None -> ()
-  in
-  lines ()
-
-let rec accept_all lp =
-  match Sysx.accept lp.sock with
+let rec accept_all lp sock =
+  match Sysx.accept sock with
   | `Conn (fd, _) ->
       Unix.set_nonblock fd;
-      lp.conns <-
-        {
-          c_fd = fd;
-          c_rd = reader_of_fd fd;
-          c_slots = Queue.create ();
-          c_out = Queue.create ();
-          c_off = 0;
-          c_out_len = 0;
-          c_dead = false;
-        }
-        :: lp.conns;
-      accept_all lp
+      lp.conns <- new_conn fd fd :: lp.conns;
+      accept_all lp sock
   | `Again -> ()
 
 (* Resolve every admitted request against the cache, in admission
-   order, before any of them is graded — as the stdio loop's round does
-   — then hand out the oldest miss.  Everything else is answered on the
-   spot: a request whose deadline passed while it was queued is shed,
-   an error or a hit answered, and a request whose key is already
-   being graded (or waits to be) waits on that miss. *)
+   order, before any of them is graded, then hand out the oldest miss.
+   Everything else is answered on the spot: a request whose deadline
+   passed while it was queued is shed, an error or a hit answered, and
+   a request whose key is already being graded (or waits to be) waits
+   on that miss. *)
 let take lp =
   let st = lp.st in
   while not (Queue.is_empty lp.pending) do
@@ -994,16 +912,22 @@ let take lp =
   done;
   Queue.take_opt lp.ready
 
-(* The connections a poll reads: none once stopping, and none whose
-   output backlog is past the high-water mark. *)
+(* The connections a poll reads, none past the output high-water mark:
+   those that may admit a line and, beside a listener, those held
+   behind a barrier while less than [held_input] bytes wait behind it.
+   Another domain may lift the barrier while this poll sleeps, and the
+   client's next line must not wait for the select timeout. *)
 let readable lp =
-  if Atomic.get lp.stop then []
-  else
-    List.filter_map
-      (fun c ->
-        if (not c.c_rd.eof) && c.c_out_len < out_highwater then Some c.c_fd
-        else None)
-      lp.conns
+  List.filter_map
+    (fun c ->
+      if
+        (not c.c_rd.eof) && c.c_out_len < out_highwater
+        && (admitting lp c
+           || lp.sock <> None && Option.is_some c.c_held && (not (Atomic.get lp.stop))
+              && c.c_rd.len < held_input)
+      then Some c.c_rd.fd
+      else None)
+    lp.conns
 
 (* Work that no domain is on: a queued request, or input nobody read. *)
 let waiting lp =
@@ -1035,7 +959,7 @@ let retire_idle lp =
       stale
   end
 
-(* One select turn by domain [me]: accept, read and admit, write, flush
+(* One loop turn by domain [me]: accept, read and admit, write, flush
    the event log, reap.  A helper whose polling the serving domain took
    over meanwhile leaves the events to it. *)
 let poll lp ~me =
@@ -1045,44 +969,54 @@ let poll lp ~me =
     lp.drain_deadline <- now_ms () +. (drain_grace_s *. 1000.0);
   retire_idle lp;
   let rds =
-    (if Atomic.get lp.stop then [] else [ lp.sock ]) @ readable lp
+    (match lp.sock with
+    | Some s when not (Atomic.get lp.stop) -> [ s ]
+    | _ -> [])
+    @ readable lp
   in
   let wrs =
     List.filter_map
-      (fun c -> if c.c_out_len > 0 then Some c.c_fd else None)
+      (fun c -> if c.c_out_len > 0 then Some c.c_wr else None)
       lp.conns
   in
-  let gone, live = List.partition (fun h -> h.h_gone) lp.helpers in
-  lp.helpers <- live;
   let rready, wready =
-    unlocked lp (fun () ->
-        List.iter (fun h -> Option.iter Domain.join h.h_domain) gone;
-        (* A descriptor can be closed between a displaced helper's
-           look at the connections and its select. *)
-        match Sysx.select rds wrs [] poll_s with
-        | r, w, _ -> (r, w)
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], []))
+    if rds = [] && wrs = [] && lp.grading > 0 then begin
+      Condition.wait lp.answered lp.lock;
+      ([], [])
+    end
+    else begin
+      let gone, live = List.partition (fun h -> h.h_gone) lp.helpers in
+      lp.helpers <- live;
+      unlocked lp (fun () ->
+          List.iter (fun h -> Option.iter Domain.join h.h_domain) gone;
+          (* A descriptor can be closed between a displaced helper's
+             look at the connections and its select. *)
+          match Sysx.select rds wrs [] poll_s with
+          | r, w, _ -> (r, w)
+          | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], []))
+    end
   in
   if lp.poller = me && not lp.closing then begin
     lp.poller <- -1;
     let stop = Atomic.get lp.stop in
-    if (not stop) && List.mem lp.sock rready then accept_all lp;
+    (match lp.sock with
+    | Some s when (not stop) && List.mem s rready -> accept_all lp s
+    | _ -> ());
     (* Answers go out as soon as they exist: the ones admission gives
-       (control answers, errors, sheds) right after the read, a cell's
+       (a barrier at the front, a shed) right after the read, a cell's
        when it is filled.  What is left waits on a slow reader, so it
        is written again once select says it can go, or at the stop. *)
-    if not stop then
-      List.iter
-        (fun c ->
-          if List.mem c.c_fd rready then begin
-            read_conn lp c;
-            promote st c;
-            write_conn c
-          end)
-        lp.conns;
     List.iter
       (fun c ->
-        if c.c_out_len > 0 && (List.mem c.c_fd wready || stop) then
+        if List.mem c.c_rd.fd rready then begin
+          fill c.c_rd;
+          pump lp c;
+          write_conn c
+        end)
+      lp.conns;
+    List.iter
+      (fun c ->
+        if c.c_out_len > 0 && (List.mem c.c_wr wready || stop) then
           write_conn c)
       lp.conns;
     (* Admissions, sheds and write-outs of this turn reach disk before
@@ -1105,11 +1039,13 @@ let rec grade lp ~me (w, m) =
     | _ -> None
   in
   if me = 0 then lp.serving_busy <- true;
+  lp.grading <- lp.grading + 1;
   let result =
     unlocked lp (fun () ->
         Option.iter (fun h -> Condition.signal h.h_wake) woken;
         grade_guarded st.config m)
   in
+  lp.grading <- lp.grading - 1;
   if me = 0 then lp.serving_busy <- false;
   let dups = Hashtbl.find lp.inflight m.m_key in
   Hashtbl.remove lp.inflight m.m_key;
@@ -1119,6 +1055,7 @@ let rec grade lp ~me (w, m) =
   settle lp w (answer_miss st m result);
   List.iter (fun d -> settle lp d (answer_dup st d.w_req result)) (List.rev !dups);
   Option.iter Events.flush st.events;
+  Condition.broadcast lp.answered;
   if grow then spawn lp
 
 (* The runtime caps live domains (128 in OCaml 5.1): a refused spawn
@@ -1141,10 +1078,14 @@ and spawn lp =
       lp.helpers <- h :: lp.helpers
   | exception Failure _ -> ()
 
+(* A helper that fails wakes a serving domain waiting on its answer,
+   which then re-raises the fault. *)
 and helper lp h =
   Mutex.lock lp.lock;
   (try helper_turns lp h
-   with e -> if lp.fault = None then lp.fault <- Some e);
+   with e ->
+     if lp.fault = None then lp.fault <- Some e;
+     Condition.broadcast lp.answered);
   lp.domains <- lp.domains - 1;
   h.h_gone <- true;
   Mutex.unlock lp.lock
@@ -1186,12 +1127,15 @@ let rec serve lp =
       grade lp ~me:0 job;
       serve lp
   | None ->
-      poll lp ~me:0;
       if not (Atomic.get lp.stop && (drained lp || now_ms () > lp.drain_deadline))
-      then serve lp
+      then begin
+        poll lp ~me:0;
+        serve lp
+      end
 
 (* Called with the lock held; returns without it, once every helper
-   has left the loop (one in select leaves within [poll_s]). *)
+   has left the loop (one in select leaves within [poll_s]) and every
+   connection is closed. *)
 let close_loop lp =
   lp.closing <- true;
   List.iter
@@ -1200,10 +1144,69 @@ let close_loop lp =
       Condition.signal h.h_wake)
     lp.parked;
   lp.parked <- [];
+  Condition.broadcast lp.answered;
   let hs = lp.helpers in
   lp.helpers <- [];
   Mutex.unlock lp.lock;
-  List.iter (fun h -> Option.iter Domain.join h.h_domain) hs
+  List.iter (fun h -> Option.iter Domain.join h.h_domain) hs;
+  List.iter close_fds lp.conns
+
+(* SIGPIPE is ignored (a hung-up peer is a failed write); SIGINT and
+   SIGTERM set the returned stop flag. *)
+let stop_on_signals () =
+  (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
+  | () -> ()
+  | exception _ -> ());
+  let stop = Atomic.make false in
+  let install s =
+    try Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set stop true))
+    with _ -> ()
+  in
+  install Sys.sigint;
+  install Sys.sigterm;
+  stop
+
+let run st ~stop sock conns =
+  let lp =
+    {
+      st;
+      sock;
+      stop;
+      lock = Mutex.create ();
+      answered = Condition.create ();
+      pending = Queue.create ();
+      ready = Queue.create ();
+      inflight = Hashtbl.create 16;
+      depth = 0;
+      grading = 0;
+      conns;
+      shut = false;
+      drain_deadline = infinity;
+      poller = -1;
+      serving_busy = false;
+      domains = 1;
+      helpers = [];
+      parked = [];
+      next_id = 1;
+      closing = false;
+      fault = None;
+    }
+  in
+  Mutex.lock lp.lock;
+  Fun.protect ~finally:(fun () -> close_loop lp) (fun () -> serve lp);
+  if lp.shut then `Shutdown else `Eof
+
+(* The connection owns duplicates of the descriptors.  Their flags are
+   left alone, blocking or not: a tty's or a pipe's are shared with
+   whoever else holds it, and the loop reads only what select says is
+   ready. *)
+let serve_fd config fd out =
+  let stop = stop_on_signals () in
+  let st = make_state config in
+  Fun.protect ~finally:(fun () -> close_state st) @@ fun () ->
+  run st ~stop None [ new_conn (Unix.dup fd) (Unix.dup out) ]
+
+let serve_stdio config = ignore (serve_fd config Unix.stdin Unix.stdout)
 
 (* A path another daemon still serves is refused; one whose daemon is
    gone (a refused connect) is a stale file, replaced. *)
@@ -1231,16 +1234,7 @@ let inode path =
   | exception Unix.Unix_error _ -> None
 
 let serve_socket config path =
-  (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
-  | () -> ()
-  | exception _ -> ());
-  let stop = Atomic.make false in
-  let install s =
-    try Sys.set_signal s (Sys.Signal_handle (fun _ -> Atomic.set stop true))
-    with _ -> ()
-  in
-  install Sys.sigint;
-  install Sys.sigterm;
+  let stop = stop_on_signals () in
   (* One state for the daemon's lifetime: the cache and the stats span
      connections, which is the whole point of a persistent service.
      Built before the socket is bound, so a refused start (a locked
@@ -1251,28 +1245,6 @@ let serve_socket config path =
   claim path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock sock;
-  let lp =
-    {
-      st;
-      sock;
-      stop;
-      lock = Mutex.create ();
-      pending = Queue.create ();
-      ready = Queue.create ();
-      inflight = Hashtbl.create 16;
-      depth = 0;
-      conns = [];
-      drain_deadline = infinity;
-      poller = -1;
-      serving_busy = false;
-      domains = 1;
-      helpers = [];
-      parked = [];
-      next_id = 1;
-      closing = false;
-      fault = None;
-    }
-  in
   (* The socket is bound under a temporary name beside [path] and renamed
      into place once it listens, so a client that sees [path] can
      connect.  On the way out [path] is removed only while it is still
@@ -1280,7 +1252,6 @@ let serve_socket config path =
   let tmp = Printf.sprintf "%s.%d" path (Unix.getpid ()) in
   let bound = ref None in
   let cleanup () =
-    List.iter (fun c -> try Unix.close c.c_fd with _ -> ()) lp.conns;
     (try Unix.close sock with _ -> ());
     (try Sys.remove tmp with _ -> ());
     if !bound <> None && inode path = !bound then
@@ -1291,5 +1262,4 @@ let serve_socket config path =
   Unix.listen sock config.backlog;
   Unix.rename tmp path;
   bound := inode path;
-  Mutex.lock lp.lock;
-  Fun.protect ~finally:(fun () -> close_loop lp) (fun () -> serve lp)
+  ignore (run st ~stop (Some sock) [])

@@ -1,54 +1,55 @@
 (** The persistent grading daemon ([jfeed serve]).
 
-    Two serving loops share one request path.  Each request line goes
+    One serving loop, one request path.  Each request line goes
     through one decoder, which counts it and turns it into a grade
     request (defaults filled in, correlation id minted, admitted), an
     error reply, a shutdown reply, or a renderer for [stats], [metrics]
-    or [slowlog] that the loop calls with its own view of the queue.
-    Both loops answer a grade request through one resolve and reply
-    path: resolve it against the content-addressed result cache
-    ({!Normalize} keys into the sharded {!Shards} LRU; a request whose
-    key is already being graded waits on that computation), grade a
-    miss under one fresh per-request budget
-    ({!Jfeed_robust.Pipeline.grade_submission}), and answer with one
+    or [slowlog] that the loop calls with its view of the queue.  A
+    grade request is resolved against the content-addressed result
+    cache ({!Normalize} keys into the sharded {!Shards} LRU; a request
+    whose key is already being graded waits on that computation); a
+    miss is graded under one fresh per-request budget
+    ({!Jfeed_robust.Pipeline.grade_submission}) and answered with one
     response line.  A malformed line costs one [error] response, never
-    the daemon, and so does an exception escaping the pipeline.
+    the daemon, and so does an exception escaping the pipeline or a
+    line longer than {!max_line} bytes.
 
-    {b Stdio / single descriptor} ({!serve_fd}, {!serve_stdio}) — the
-    blocking loop, drivable from cram tests and shell pipelines.  It
-    reads one line (blocking); if it is a [grade], it drains further
-    {e immediately available} grade lines into the batch (at most
-    [queue_cap]; lines beyond that stay in the kernel pipe buffer —
-    backpressure without an unbounded heap).  Any other line met while
-    draining, not just [stats] and [shutdown], ends the batch: it is
-    decoded and counted when read and answered after every earlier
-    grade response, so a [stats] answer there reports queue depth 0.
-    The batch's misses are graded on the pool, and the responses go
-    out in request order.  This loop never sheds.
+    The loop is a select(2) event loop over a listener, when there is
+    one ({!serve_socket}), and its connections, or over the one
+    connection of a daemon without a listener ({!serve_fd},
+    {!serve_stdio}).  It is run leader/followers style by the grading
+    domains: the serving domain and up to [jobs - 1] helper domains
+    share the loop state under one lock, any free domain runs a loop
+    turn, and a domain that takes a miss grades it outside the lock and
+    then answers it itself, so a miss is graded as soon as a domain is
+    free and answered as soon as it is graded.  Helpers are spawned
+    only when work waits while every domain grades, and retire after
+    16 minor collections parked.  Each connection keeps a FIFO of
+    slots: a finished line, or an answer cell that the request's
+    answer fills.  Slots drain in order, so per-connection response
+    order holds while the cells of different connections fill in any
+    order; a slow reader only stalls itself (its output backlog trips
+    flow control and its input waits in the kernel buffer).  Responses
+    do not depend on [jobs].
 
-    {b Socket daemon} ({!serve_socket}) — a select(2) event loop
-    serving many connections at once, run leader/followers style by
-    the grading domains: the serving domain and up to [jobs - 1]
-    helper domains share the loop state under one lock, any free
-    domain runs a loop turn, and a domain that takes a miss grades it
-    outside the lock and then answers it itself, so a miss is graded
-    as soon as a domain is free and answered as soon as it is graded.
-    Helpers are spawned only when work waits while every domain
-    grades, and retire after 16 minor collections parked.  Each
-    connection keeps a FIFO of slots: a finished line, or an answer
-    cell that the request's answer fills.  Slots drain in order, so
-    per-connection response order holds while the cells of different
-    connections fill in any order; a slow reader only stalls itself
-    (its output backlog trips flow control and its input waits in the
-    kernel buffer).  Responses do not depend on [jobs].  Control
-    requests answer when read, with the live queue depth: the grade
-    requests admitted and not yet answered, whether queued, being
-    graded or waiting on a duplicate's grading.  Admission control
-    sheds load past [queue_cap] with an explicit
-    [rejected:"overloaded"] line, optionally admitting on a degraded
-    fuel budget between [watermark] and the cap, and sheds a request
-    whose deadline passed while it was queued; SIGINT/SIGTERM drain
-    in-flight work, flush the durable store and unlink the socket.
+    Every non-grade line is a barrier on its connection: it renders
+    once every earlier answer of its connection is out, and the
+    connection's later lines are not admitted before then.  A [stats]
+    answer thus counts every earlier request of its connection, and
+    reports the live queue depth: the grade requests admitted and not
+    yet answered, whether queued, being graded or waiting on a
+    duplicate's grading.  Admission control holds at most [queue_cap]
+    such requests.  With a listener, a grade line past that is shed
+    with an explicit [rejected:"overloaded"] line; without one, the
+    daemon stops taking lines, which wait in the pipe (backpressure
+    without an unbounded heap), so stdio never sheds for a full queue.
+    Between [watermark] and the cap requests are admitted on a
+    degraded fuel budget, and a request whose deadline passed while it
+    was queued is shed.  The loop stops on a [shutdown] request, on
+    SIGINT/SIGTERM, or, without a listener, at the end of its input
+    once every answer is written, or when its output is closed; then
+    no further line is admitted, in-flight work finishes, output
+    drains and the durable store is flushed.
 
     With [cache_dir] set, the result cache is durable: every fresh
     grade is appended to a checksummed log ({!Store}) the moment it is
@@ -61,11 +62,12 @@
 
 type config = {
   cache_cap : int;  (** result-cache entries; [0] disables caching *)
-  queue_cap : int;  (** max grade requests held in memory *)
+  queue_cap : int;
+      (** max grade requests admitted and unanswered; past it a daemon
+          with a listener sheds, one without stops reading *)
   jobs : int;
-      (** grading domains: the stdio loop's pool width for a batch of
-          misses; the socket daemon's serving domain plus at most
-          [jobs - 1] helpers *)
+      (** grading domains: the serving domain plus at most [jobs - 1]
+          helpers *)
   fuel : int option;  (** default per-request budget; request may override *)
   deadline_s : float option;
   with_tests : bool;  (** default; request may override *)
@@ -132,13 +134,23 @@ val decode_entry : string -> entry option
 
 (** {2 Serving} *)
 
+val max_line : int
+(** The longest request line taken, in bytes without its newline:
+    1 MiB.  A longer line is answered with one [error] line that names
+    the bound, its bytes are discarded through its newline, and the
+    connection keeps being served. *)
+
 val serve_fd :
-  config -> Unix.file_descr -> out_channel -> [ `Eof | `Shutdown ]
-(** Serve one connection with fresh state: read requests from the
-    descriptor, write responses to the channel (flushed after every
-    batch).  Returns on end of input or on a [shutdown] request.  With
-    [cache_dir] set, the durable store is replayed on entry and
-    compacted + closed on return. *)
+  config -> Unix.file_descr -> Unix.file_descr -> [ `Eof | `Shutdown ]
+(** [serve_fd config input output] serves one connection with fresh
+    state and no listener: requests are read from [input], answers
+    written to [output] as soon as they are due.  The connection works
+    on duplicates of both descriptors, which it closes; the caller's
+    stay open, and neither is switched to non-blocking mode.  Returns
+    [`Shutdown] after a [shutdown] request, [`Eof] once input ended and
+    every answer is written (or output was closed, or SIGINT/SIGTERM
+    arrived).  With [cache_dir] set, the durable store is replayed on
+    entry and compacted + closed on return. *)
 
 val serve_stdio : config -> unit
 (** [serve_fd] over stdin/stdout — the [jfeed serve] default, drivable
@@ -146,8 +158,8 @@ val serve_stdio : config -> unit
 
 val serve_socket : config -> string -> unit
 (** Listen on a Unix-domain socket at the given path and serve
-    connections {e concurrently} through the event loop, sharing cache
-    and metrics across them — connection n+1 hits the results
+    connections {e concurrently} through the serving loop, sharing
+    cache and metrics across them — connection n+1 hits the results
     connection n computed.  An existing file at the path is probed
     with a connect: if a daemon accepts, the start is refused with
     [Failure "socket \"PATH\" is served by another jfeed serve"] and

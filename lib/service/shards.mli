@@ -15,10 +15,11 @@
     preserved at any shard count.
 
     Locking: one mutex per shard, held only for the O(1) LRU
-    operation — never while grading.  The event loop mutates the cache
-    from one thread today; the mutexes make the structure safe for the
-    multi-domain accept loops the roadmap points at next, at a cost
-    that is noise next to a grading request. *)
+    operation — never while grading.  In the daemon every cache access
+    already runs under the serving loop's one lock, so the shard
+    mutexes guard nothing there; they keep the structure safe for a
+    caller without such a lock, at a cost that is noise next to a
+    grading request. *)
 
 type 'v t
 

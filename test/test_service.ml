@@ -336,9 +336,7 @@ let run_session ?(config = Server.default_config) lines =
   let resp_r, resp_w = Unix.pipe () in
   let server =
     Domain.spawn (fun () ->
-        let oc = Unix.out_channel_of_descr resp_w in
-        let outcome = Server.serve_fd config req_r oc in
-        (try flush oc with Sys_error _ -> ());
+        let outcome = Server.serve_fd config req_r resp_w in
         Unix.close resp_w;
         outcome)
   in
@@ -441,23 +439,6 @@ let test_session_eof_without_shutdown () =
   let outcome, responses = run_session [ grade_line base_source ] in
   check "EOF ends the connection" true (outcome = `Eof);
   check_int "the grade was still answered" 1 (List.length responses)
-
-let test_session_parallel_determinism () =
-  (* The same mixed stream through --jobs 1 and --jobs 4 must produce
-     byte-identical response lines: the pool merge is index-ordered and
-     the budget is per request. *)
-  let srcs =
-    List.init 8 (fun i ->
-        Spec.source_of_index Bundles.assignment1.Bundles.gen (i * 11))
-  in
-  let lines =
-    List.mapi (fun i s -> grade_line ~id:(string_of_int i) s) srcs
-    @ [ {|{"op":"shutdown"}|} ]
-  in
-  let run jobs =
-    snd (run_session ~config:{ Server.default_config with jobs } lines)
-  in
-  check "jobs-invariant responses" true (run 1 = run 4)
 
 (* ------------------------------------------------------------------ *)
 (* Entry codec: the durable store's value bytes *)
@@ -1083,6 +1064,32 @@ let shut_down (fd, ic) server =
   (try Unix.close fd with _ -> ());
   ack
 
+let test_session_parallel_determinism () =
+  (* The same mixed stream through --jobs 1 and --jobs 4 must produce
+     byte-identical response lines, since the budget is per request;
+     and stdio is the serving loop's one connection, so one socket
+     connection must get the same lines. *)
+  let srcs =
+    List.init 8 (fun i ->
+        Spec.source_of_index Bundles.assignment1.Bundles.gen (i * 11))
+  in
+  let lines =
+    List.mapi (fun i s -> grade_line ~id:(string_of_int i) s) srcs
+    @ [ {|{"op":"shutdown"}|} ]
+  in
+  let run jobs =
+    snd (run_session ~config:{ Server.default_config with jobs } lines)
+  in
+  let stdio = run 1 in
+  check "jobs-invariant responses" true (stdio = run 4);
+  let path, server = start_daemon "oneconn" in
+  let fd, ic = open_conn path in
+  send_lines fd lines;
+  let socket = List.map (fun _ -> input_line ic) lines in
+  Domain.join server;
+  Unix.close fd;
+  Alcotest.(check (list string)) "one socket connection answers alike" stdio socket
+
 let test_socket_twins_share_a_grading () =
   let path, server = start_daemon ~config:{ Server.default_config with jobs = 2 } "twins" in
   let (a_fd, a_ic) = open_conn path in
@@ -1202,6 +1209,29 @@ let test_socket_jobs_invariant () =
         (run jobs))
     [ 2; 4 ]
 
+let test_socket_stats_is_a_barrier () =
+  let path, server = start_daemon "barrier" in
+  let (fd, ic) = open_conn path in
+  send_lines fd [ grade_line ~id:"g" base_source; {|{"op":"stats","id":"s"}|} ];
+  check "the miss is answered first" false (cached_of (input_line ic));
+  check "stats, sent with it, counts it" true
+    (contains ~sub:{|"hits":0,"misses":1|} (input_line ic));
+  ignore (shut_down (fd, ic) server)
+
+let test_socket_overlong_line () =
+  let path, server = start_daemon "overlong" in
+  let (fd, ic) = open_conn path in
+  send_all fd (String.make (Server.max_line + 1) 'a' ^ "\n");
+  send_lines fd [ grade_line ~id:"after" base_source ];
+  check_str "one error names the bound"
+    (Printf.sprintf {|{"op":"error","error":"request line longer than %d bytes"}|}
+       Server.max_line)
+    (input_line ic);
+  check "the next line is served" true
+    (String.starts_with ~prefix:{|{"id":"after","op":"grade","cached":false|}
+       (input_line ic));
+  ignore (shut_down (fd, ic) server)
+
 let suite =
   [
     Alcotest.test_case "json values parse" `Quick test_json_values;
@@ -1266,4 +1296,8 @@ let suite =
       test_socket_shutdown_answers_inflight;
     Alcotest.test_case "socket answers are jobs-invariant" `Slow
       test_socket_jobs_invariant;
+    Alcotest.test_case "stats waits for its connection's earlier grades" `Slow
+      test_socket_stats_is_a_barrier;
+    Alcotest.test_case "an overlong line costs one error line" `Slow
+      test_socket_overlong_line;
   ]
