@@ -39,14 +39,26 @@ let feedback_positive (r : Grader.result) =
 (* ------------------------------------------------------------------ *)
 (* Table I                                                             *)
 
+(* A timing repeated over rounds of the same sample: the median and the
+   quartiles of the per-round means (nearest rank). *)
+type spread = { med : float; q1 : float; q3 : float }
+
+let spread xs =
+  let sorted = Array.of_list (List.sort compare xs) in
+  let at p = Jfeed_trace.Trace.nearest_rank sorted p in
+  { med = at 0.5; q1 = at 0.25; q3 = at 0.75 }
+
+(* T and M are timed this many times over the same sample. *)
+let timing_rounds = 5
+
 type row = {
   id : string;
   s : int;
   l : float;
-  t : float;
+  t : spread;
   p : int;
   c : int;
-  m : float;
+  m : spread;
   d : int;
   sampled : int;
   causes : (string * int) list;
@@ -60,28 +72,47 @@ let table1_row ~sample ~seed (b : Bundles.t) =
     Jfeed_java.Parser.parse_program (Jfeed_gen.Spec.reference spec)
   in
   let expected = Jfeed_ftest.Runner.expected_outputs b.suite reference in
-  let lines = ref 0 and t_total = ref 0.0 and m_total = ref 0.0 in
+  let lines = ref 0 in
+  let samples =
+    List.map
+      (fun idx ->
+        let digits = Jfeed_gen.Spec.decode spec idx in
+        let src = spec.Jfeed_gen.Spec.render digits in
+        lines :=
+          !lines
+          + List.length
+              (List.filter
+                 (fun l -> String.trim l <> "")
+                 (String.split_on_char '\n' src));
+        (digits, Jfeed_java.Parser.parse_program src))
+      indices
+  in
+  let n = List.length indices in
+  (* Each round tests and grades every sample once; the first round's
+     verdicts give D. *)
+  let round () =
+    let t_total = ref 0.0 and m_total = ref 0.0 in
+    let verdicts =
+      List.map
+        (fun (digits, prog) ->
+          let fpass, t_time =
+            time (fun () -> Jfeed_ftest.Runner.passes b.suite ~expected prog)
+          in
+          let result, m_time = time (fun () -> Grader.grade b.grading prog) in
+          t_total := !t_total +. t_time;
+          m_total := !m_total +. m_time;
+          (digits, fpass <> feedback_positive result))
+        samples
+    in
+    (!t_total /. float_of_int n, !m_total /. float_of_int n, verdicts)
+  in
+  let rounds = List.init timing_rounds (fun _ -> round ()) in
+  let _, _, verdicts = List.hd rounds in
   let d = ref 0 in
   let causes = Hashtbl.create 8 in
-  let n = List.length indices in
   List.iter
-    (fun idx ->
-      let digits = Jfeed_gen.Spec.decode spec idx in
-      let src = spec.Jfeed_gen.Spec.render digits in
-      lines :=
-        !lines
-        + List.length
-            (List.filter
-               (fun l -> String.trim l <> "")
-               (String.split_on_char '\n' src));
-      let prog = Jfeed_java.Parser.parse_program src in
-      let fpass, t_time =
-        time (fun () -> Jfeed_ftest.Runner.passes b.suite ~expected prog)
-      in
-      let result, m_time = time (fun () -> Grader.grade b.grading prog) in
-      t_total := !t_total +. t_time;
-      m_total := !m_total +. m_time;
-      if fpass <> feedback_positive result then begin
+    (fun (digits, discrepant) ->
+      if discrepant then begin
         incr d;
         let cause =
           match Jfeed_gen.Spec.deviations spec digits with
@@ -92,15 +123,15 @@ let table1_row ~sample ~seed (b : Bundles.t) =
         Hashtbl.replace causes cause
           (1 + Option.value ~default:0 (Hashtbl.find_opt causes cause))
       end)
-    indices;
+    verdicts;
   {
     id = b.Bundles.grading.Grader.a_id;
     s = total;
     l = float_of_int !lines /. float_of_int n;
-    t = !t_total /. float_of_int n;
+    t = spread (List.map (fun (t, _, _) -> t) rounds);
     p = List.length (Bundles.patterns b);
     c = List.length (Bundles.constraints b);
-    m = !m_total /. float_of_int n;
+    m = spread (List.map (fun (_, m, _) -> m) rounds);
     d = !d;
     sampled = n;
     causes =
@@ -109,16 +140,25 @@ let table1_row ~sample ~seed (b : Bundles.t) =
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) causes []);
   }
 
+(* The machine a timing ran on, as servebench's meta line reports it. *)
+let machine_line () =
+  let nproc, model = Servebench.Procfs.cpu_info () in
+  Printf.sprintf "machine: nproc %d, cpu %S, ocaml %s" nproc model
+    Sys.ocaml_version
+
 let print_table1 ~explain rows =
   Printf.printf
     "\nTable I — experimental results (measured over deterministic samples)\n";
-  Printf.printf "%-20s %10s %6s %9s %3s %3s %9s %6s/%-6s %9s\n" "Assignment"
-    "S" "L" "T" "P" "C" "M" "D" "sample" "D-est";
+  Printf.printf "%-20s %10s %6s %9s %22s %3s %3s %9s %22s %6s/%-6s %9s\n"
+    "Assignment" "S" "L" "T" "T IQR" "P" "C" "M" "M IQR" "D" "sample" "D-est";
   List.iter
     (fun r ->
       let rate = float_of_int r.d /. float_of_int r.sampled in
-      Printf.printf "%-20s %10d %6.2f %8.4fs %3d %3d %8.5fs %6d/%-6d %9.0f\n"
-        r.id r.s r.l r.t r.p r.c r.m r.d r.sampled
+      Printf.printf
+        "%-20s %10d %6.2f %8.5fs [%9.5f, %9.5f] %3d %3d %8.5fs [%9.5f, %9.5f] \
+         %6d/%-6d %9.0f\n"
+        r.id r.s r.l r.t.med r.t.q1 r.t.q3 r.p r.c r.m.med r.m.q1 r.m.q3 r.d
+        r.sampled
         (rate *. float_of_int r.s);
       if explain && r.causes <> [] then
         List.iter
@@ -129,16 +169,20 @@ let print_table1 ~explain rows =
     List.fold_left (fun a r -> a +. f r) 0.0 rows
     /. float_of_int (List.length rows)
   in
-  Printf.printf "%-20s %10.0f %6.2f %8.4fs %3.0f %3.0f %8.5fs\n" "average"
+  Printf.printf "%-20s %10.0f %6.2f %8.5fs %22s %3.0f %3.0f %8.5fs\n" "average"
     (avg (fun r -> float_of_int r.s))
     (avg (fun r -> r.l))
-    (avg (fun r -> r.t))
+    (avg (fun r -> r.t.med))
+    ""
     (avg (fun r -> float_of_int r.p))
     (avg (fun r -> float_of_int r.c))
-    (avg (fun r -> r.m));
+    (avg (fun r -> r.m.med));
   Printf.printf
-    "(S exact; L/T/M/D measured on the sample; D-est extrapolates the \
-     discrepancy rate to the full space.)\n"
+    "(S exact; L/T/M/D measured on the sample; T and M are medians of %d \
+     timed rounds over the same sample, with the quartiles of the rounds; \
+     D-est extrapolates the discrepancy rate to the full space.)\n"
+    timing_rounds;
+  print_endline (machine_line ())
 
 let table1 ~sample ~seed ~full ~explain () =
   let rows =

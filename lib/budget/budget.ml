@@ -94,6 +94,14 @@ let spent_by b =
 let remaining b =
   Option.map (fun f -> max 0 (f - b.used)) b.fuel
 
+let headroom b =
+  if b.dead then 0
+  else
+    let fuel = match b.fuel with Some f -> f - b.used | None -> max_int in
+    match b.deadline with
+    | Some _ -> min fuel (poll_every - 1 - (b.used mod poll_every))
+    | None -> fuel
+
 let exhausted b = b.dead
 
 let hits b = List.rev b.hit_list

@@ -74,6 +74,16 @@ val spent_by : t -> (string * int) list
 val remaining : t -> int option
 (** Fuel left, [None] when the fuel axis is unlimited. *)
 
+val headroom : t -> int
+(** The units a caller may spend in bulk, in one {!spend} or several,
+    before a spend could fail or poll the deadline: the fuel left, and
+    with a deadline one less than the units up to the next multiple of
+    1024; 0 once exhausted, [max_int] on an unlimited budget.  A caller
+    that counts its work and spends it in bulk within this headroom,
+    then spends the next unit on its own, sees exactly the failures
+    and deadline polls of one spend per unit (the interpreter's steps,
+    {!Jfeed_interp.Interp}). *)
+
 val exhausted : t -> bool
 
 val hits : t -> stage list

@@ -23,18 +23,18 @@ type verdict =
   | Pass
   | Fail of { case : string; reason : string }
 
-(* [?budget] is the shared grading fuel pool, spent by the interpreter
-   one unit per execution step. *)
-let run_case ?budget suite prog (c : case) =
+(* [prog] is compiled once per suite run, with the shared grading fuel
+   pool that the interpreter spends one unit per execution step from. *)
+let run_case suite prog (c : case) =
   (* One [interp] span per executed test case; the reference runs that
      produce expected outputs trace the same way, nested under whatever
      stage invoked them. *)
   let tr = Jfeed_trace.Trace.current () in
   Jfeed_trace.Trace.span tr "interp" (fun () ->
       let out =
-        Interp.run ?budget
+        Interp.run_compiled prog
           ~config:{ Interp.files = c.files; max_steps = suite.max_steps }
-          prog ~entry:suite.entry ~args:c.args
+          ~entry:suite.entry ~args:c.args
       in
       if Jfeed_trace.Trace.enabled tr then begin
         Jfeed_trace.Trace.add_attr tr "case" c.label;
@@ -46,6 +46,7 @@ let run_case ?budget suite prog (c : case) =
     [Invalid_argument] if the reference itself fails — a harness bug, not
     a grading outcome. *)
 let expected_outputs suite (reference : Ast.program) =
+  let reference = Interp.compile reference in
   List.map
     (fun c ->
       let out = run_case suite reference c in
@@ -64,6 +65,7 @@ type report = {
 }
 
 let report ?budget ?(early_exit = false) suite ~expected prog =
+  let prog = Interp.compile ?budget prog in
   let total = List.length suite.cases in
   let finish ran passed fails =
     { rep_total = total; rep_ran = ran; rep_passed = passed;
@@ -73,7 +75,7 @@ let report ?budget ?(early_exit = false) suite ~expected prog =
     match (cases, expects) with
     | [], [] -> finish ran passed fails
     | c :: cs, want :: ws -> (
-        let out = run_case ?budget suite prog c in
+        let out = run_case suite prog c in
         let failed reason =
           let fails = (c.label, reason) :: fails in
           if early_exit then finish (ran + 1) passed fails

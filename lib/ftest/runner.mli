@@ -21,7 +21,8 @@ type verdict = Pass | Fail of { case : string; reason : string }
 val expected_outputs : suite -> Jfeed_java.Ast.program -> string list
 (** Outputs of the reference solution, one per case.  Raises
     [Invalid_argument] if the reference itself fails — a harness bug, not
-    a grading outcome. *)
+    a grading outcome.  Like {!report}, it compiles the program once
+    ({!Jfeed_interp.Interp.compile}) and runs every case on it. *)
 
 type report = {
   rep_total : int;  (** cases in the suite *)
@@ -43,10 +44,12 @@ val report :
     and every failure is collected; [~early_exit:true] stops at the
     first failing case ([rep_ran < rep_total] then tells how far it
     got) — the cheap screening mode of the repair search, where one
-    failure already disqualifies a candidate.  On a program that passes
-    every case the two modes return identical reports.  Total: a
-    malformed suite yields a ["<suite>"] failure entry, never an
-    exception, so a bad test spec cannot crash a grading batch. *)
+    failure already disqualifies a candidate.  The program is compiled
+    once per call, with [budget], and every case runs on it.  On a
+    program that passes every case the two modes return identical
+    reports.  Total: a malformed suite yields a ["<suite>"] failure
+    entry, never an exception, so a bad test spec cannot crash a
+    grading batch. *)
 
 val run :
   ?budget:Jfeed_budget.Budget.t ->

@@ -8,14 +8,36 @@
 
     Each {!run} compiles every method of the program once into OCaml
     closures, with every local variable resolved to a slot of a per-call
-    array frame, then calls the entry method.  Compilation is total:
-    errors about names (an undefined variable, an unknown method) are
-    runtime errors, raised when the code that names them runs.
+    array frame, then calls the entry method; {!compile} and
+    {!run_compiled} compile once for a whole test suite.  Compilation is
+    total: errors about names (an undefined variable, an unknown method)
+    are runtime errors, raised when the code that names them runs.
+
+    Typed closures.  Code the compiler can prove [int] or [boolean]
+    compiles to closures that return an unboxed [int] or [bool]:
+    conditions, [int] arithmetic, comparisons, and reads and writes of
+    locals proven to hold one kind.  A declared type does not bind the
+    runtime value ([int s = 0; s += 1.5;] leaves a double in [s]), so a
+    local is proven only when every declaration of its name in the
+    method has that type and every write to it is of that kind.  A
+    method declared [int] or [boolean] whose every path returns such a
+    value returns it unboxed to a caller that passes arguments of the
+    parameters' declared kinds; other callers get the same result boxed,
+    and a call whose [int] or [boolean] arguments hold other values runs
+    a body that assumes nothing and runs on boxed values.  The analysis
+    is linear in the program's size.  Everything else runs on boxed
+    {!Value.t}s with the same results and errors.
 
     Step accounting: one step per executed statement (ticked before it
     runs), per loop iteration, and per call (ticked before its receiver
     and arguments are evaluated).  Each step also spends one unit of
-    {!Jfeed_budget.Budget.Interp} fuel when a budget is given.
+    {!Jfeed_budget.Budget.Interp} fuel when a budget is given.  The
+    units are spent in bulk: up to the budget's
+    {!Jfeed_budget.Budget.headroom} the interpreter only counts its
+    steps, and it spends them in one go when it leaves the headroom or
+    the run ends.  The step at which the fuel runs out or the deadline
+    is polled is spent on its own, so steps, fuel per stage, hits and
+    the deadline's poll points are those of one spend per step.
 
     Endless counter loops are charged in bulk.  Take a [while] or [for]
     loop whose straight-line [int] body moves its counter by a constant
@@ -67,12 +89,26 @@ val run :
   entry:string ->
   args:Value.t list ->
   outcome
-(** Invoke [entry] with [args].  Runtime failures are reported in the
-    outcome, never raised.  Each execution step additionally spends one
-    unit of {!Jfeed_budget.Budget.Interp} fuel from [budget] (shared
-    across runs), unifying the interpreter's step budget with the rest
-    of the grading pipeline; [config.max_steps] remains the per-run
-    ceiling. *)
+(** Compile the program, then invoke [entry] with [args].  Runtime
+    failures are reported in the outcome, never raised.  Each execution
+    step additionally spends one unit of {!Jfeed_budget.Budget.Interp}
+    fuel from [budget] (shared across runs), unifying the interpreter's
+    step budget with the rest of the grading pipeline;
+    [config.max_steps] remains the per-run ceiling. *)
+
+type compiled
+(** A program compiled for runs that share one budget. *)
+
+val compile : ?budget:Jfeed_budget.Budget.t -> Jfeed_java.Ast.program -> compiled
+(** Compile every method of the program once, for any number of
+    {!run_compiled} calls that spend from [budget]: a test suite
+    compiles the program once and runs each case on it. *)
+
+val run_compiled :
+  compiled -> config:config -> entry:string -> args:Value.t list -> outcome
+(** Like {!run} on the compiled program: the same outcome, steps and
+    fuel.  Each run starts afresh, with no steps, an empty stdout, and
+    the files and step limit of [config]. *)
 
 val run_source :
   ?budget:Jfeed_budget.Budget.t ->

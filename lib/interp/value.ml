@@ -19,7 +19,18 @@ and scanner = { mutable tokens : string list; mutable closed : bool }
 (* Wrap an OCaml int to Java 32-bit int semantics. *)
 let wrap32 n = Int32.to_int (Int32.of_int n)
 
-let vint n = Vint (wrap32 n)
+(* Boxes for the ints that loop counters and accumulators hold most,
+   made once: boxing one of them allocates nothing.  Ints are immutable,
+   so sharing a box is unobservable. *)
+let small_ints = Array.init 1280 (fun i -> Vint (i - 256))
+
+let vint n =
+  let n = wrap32 n in
+  if n >= -256 && n < 1024 then Array.unsafe_get small_ints (n + 256)
+  else Vint n
+
+(* Both boxes are constants: boxing a boolean allocates nothing. *)
+let of_bool b = if b then Vbool true else Vbool false
 
 let type_name = function
   | Vint _ -> "int"

@@ -596,6 +596,189 @@ let test_array_heap_bound () =
     "a negative size still fails as before" "NegativeArraySizeException: -1"
     (err ~args:[] "void f() { int[][] a = new int[100000000][-1]; }")
 
+(* ------------------------------------------------------------------ *)
+(* Fuel accounting                                                     *)
+
+(* A loop that calls a helper every iteration: never accelerated. *)
+let call_loop =
+  {|int g(int x) { return x + 1; }
+    void f() { int s = 0; for (int i = 0; i < 300; i = g(i)) { s += g(i) % 7; } System.out.println(s); }|}
+
+(* The outcome's fields, then the budget's total, per-stage spend and
+   hits. *)
+let observe_budget budget ~config prog ~entry ~args =
+  let args = List.map copy_arg args in
+  let o = Interp.run ?budget ~config prog ~entry ~args in
+  ( [ o.Interp.stdout; Option.value o.error ~default:"-"; string_of_int o.steps;
+      (match o.result with Some v -> Value.to_display v | None -> "-") ],
+    match budget with
+    | None -> []
+    | Some b ->
+        string_of_int (Budget.spent b)
+        :: List.map (fun (s, n) -> Printf.sprintf "%s=%d" s n) (Budget.spent_by b)
+        @ List.map Budget.string_of_stage (Budget.hits b) )
+
+(* A run that ends by itself after N steps, cut at every fuel f < N, fails
+   at step f + 1 with exactly f + 1 units spent, all of them by the
+   interpreter; with f >= N it runs as the unlimited run does.  The same
+   holds on a budget that the matcher already drew 1,000 units from. *)
+let fuel_closed_form label ?(config = { Interp.files = []; max_steps = 100_000 })
+    ~entry ~args src =
+  let prog = Jfeed_java.Parser.parse_program src in
+  let plain, _ = observe_budget None ~config prog ~entry ~args in
+  Alcotest.(check string) (label ^ ": ends by itself") "-" (List.nth plain 1);
+  let n = int_of_string (List.nth plain 2) in
+  List.iter
+    (fun pre ->
+      let budget fuel =
+        let b = Budget.create ~fuel:(pre + fuel) () in
+        if pre > 0 then ignore (Budget.spend b Budget.Matcher pre);
+        Some b
+      in
+      let spend interp hits =
+        [ string_of_int (pre + interp);
+          Printf.sprintf "matcher=%d" pre; "pairing=0";
+          Printf.sprintf "interp=%d" interp ]
+        @ hits
+      in
+      for f = 0 to n - 1 do
+        let out, spent = observe_budget (budget f) ~config prog ~entry ~args in
+        (* Stdout is whatever the cut run printed: compare the rest. *)
+        let got = (List.tl out, spent) in
+        let want =
+          ( [ "fuel budget exhausted"; string_of_int (f + 1); "-" ],
+            spend (f + 1) [ "interp" ] )
+        in
+        if got <> want then
+          Alcotest.failf "%s (pre-spent %d): fuel %d of %d steps: %s" label pre f n
+            (String.concat " | " (fst got @ snd got))
+      done;
+      List.iter
+        (fun f ->
+          Alcotest.(check (pair (list string) (list string)))
+            (Printf.sprintf "%s (pre-spent %d): fuel %d" label pre f)
+            (plain, spend n [])
+            (observe_budget (budget f) ~config prog ~entry ~args))
+        [ n; n + 1; 2 * n ])
+    [ 0; 1000 ]
+
+let test_fuel_closed_form () =
+  fuel_closed_form "call-heavy loop" ~entry:"f" ~args:[] call_loop;
+  List.iter
+    (fun (id, case) ->
+      let b = Option.get (Jfeed_kb.Bundles.find id) in
+      let c = List.nth b.suite.cases case in
+      fuel_closed_form (id ^ " reference " ^ c.label)
+        ~config:{ Interp.files = c.files; max_steps = b.suite.max_steps }
+        ~entry:b.suite.entry ~args:c.args
+        (Jfeed_gen.Spec.reference b.gen))
+    [
+      ("esc-LAB-3-P2-V1", 6);
+      ("esc-LAB-3-P4-V2", 2);
+      ("assignment1", 4);
+      ("rit-all-g-medals", 0);
+    ]
+
+(* Under a deadline that has already passed, the budget polls the clock
+   when its total reaches a multiple of 1,024: the run fails on the step
+   that brings it there. *)
+let test_deadline_poll_points () =
+  let prog = Jfeed_java.Parser.parse_program call_loop in
+  let config = { Interp.files = []; max_steps = 100_000 } in
+  let case pre =
+    let b = Budget.create ~deadline_s:(-1.0) () in
+    if pre > 0 then ignore (Budget.spend b Budget.Matcher pre);
+    let o = Interp.run ~budget:b ~config prog ~entry:"f" ~args:[] in
+    ( (Option.value o.Interp.error ~default:"-", o.steps),
+      (List.assoc "interp" (Budget.spent_by b), List.map Budget.string_of_stage (Budget.hits b)) )
+  in
+  let check label pre steps =
+    Alcotest.(check (pair (pair string int) (pair int (list string))))
+      label
+      (("fuel budget exhausted", steps), (steps, [ "interp" ]))
+      (case pre)
+  in
+  check "fresh budget" 0 1024;
+  check "1,000 units pre-spent on the matcher" 1000 24
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per step                                                 *)
+
+(* esc-LAB-3-P1-V1 with the option f-init=0: the helper returns 0, so the
+   search loop calls it forever and no loop is accelerated. *)
+let p1_f_init_0 =
+  {|int factorial(int x) {
+      int f = 0;
+      for (int i = 1; i <= x; i++) {
+          f *= i;
+      }
+      return f;
+  }
+
+  void lab3p1(int k) {
+      int n = 0;
+      while (factorial(n + 1) <= k) {
+          n++;
+      }
+      System.out.println(n);
+  }|}
+
+let fib =
+  {|int fib(int n) { if (n <= 2) return 1; return fib(n - 1) + fib(n - 2); }
+    void lab3p1(int k) { System.out.println(fib(k)); }|}
+
+(* Minor words allocated per step over a run cut at 100,000 steps under
+   an unlimited budget.  With every int and boolean boxed and a budget
+   spend per step, P1 allocated 6.96 words per step and fib 8.34;
+   unboxed, they allocate 0.04 and 0.68.  The bounds are about twice
+   that. *)
+let test_allocation_per_step () =
+  let words_per_step src k =
+    let prog = Jfeed_java.Parser.parse_program src in
+    let config = { Interp.files = []; max_steps = 100_000 } in
+    let budget = Budget.unlimited () in
+    let before = Gc.minor_words () in
+    let o = Interp.run ~budget ~config prog ~entry:"lab3p1" ~args:[ Value.Vint k ] in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check (pair (option string) int))
+      "cut by the step limit" (Some "step limit exceeded", 100_001)
+      (o.Interp.error, o.steps);
+    words /. float_of_int o.steps
+  in
+  let bound label words limit =
+    if words > limit then
+      Alcotest.failf "%s: %.2f minor words per step, bound %.2f" label words limit
+  in
+  bound "P1 f-init=0" (words_per_step p1_f_init_0 1) 0.1;
+  bound "recursive fib" (words_per_step fib 40) 1.5
+
+(* The kind analysis drops a name when a write to it loses the kind, and
+   every name whose initializer reads it goes with it.  On a chain of
+   declarations that it unravels one link at a time, it must not
+   re-check the whole method per link: compiling allocates a bounded
+   number of words per link (about 171, against 78 for the boxed
+   compiler).  Re-checking every name per dropped link would allocate
+   thousands. *)
+let test_kind_analysis_linear () =
+  let links = 400 in
+  let b = Buffer.create (links * 24) in
+  Buffer.add_string b "void f() { int a0 = 0; a0 = 1.5;";
+  for i = 1 to links do
+    Printf.bprintf b " int a%d = a%d;" i (i - 1)
+  done;
+  Printf.bprintf b " System.out.println(a%d); }" links;
+  let prog = Jfeed_java.Parser.parse_program (Buffer.contents b) in
+  let before = Gc.minor_words () in
+  let o = Interp.run prog ~entry:"no-such-method" ~args:[] in
+  let words = (Gc.minor_words () -. before) /. float_of_int links in
+  Alcotest.(check (option string))
+    "compiled, then found no entry" (Some "no method named no-such-method")
+    o.Interp.error;
+  if words > 350.0 then
+    Alcotest.failf "%.0f minor words per link, bound 350" words;
+  Alcotest.(check string) "the double reaches the end of the chain" "1.5\n"
+    (out ~args:[] (Buffer.contents b))
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -622,4 +805,8 @@ let suite =
     Alcotest.test_case "corpus behaviour pinned" `Quick test_corpus_pinned;
     QCheck_alcotest.to_alcotest prop_arith_oracle;
     Alcotest.test_case "array allocation heap bound" `Quick test_array_heap_bound;
+    Alcotest.test_case "fuel accounting closed form" `Quick test_fuel_closed_form;
+    Alcotest.test_case "deadline poll points" `Quick test_deadline_poll_points;
+    Alcotest.test_case "allocation per step" `Quick test_allocation_per_step;
+    Alcotest.test_case "kind analysis is linear" `Quick test_kind_analysis_linear;
   ]
